@@ -33,6 +33,7 @@ from .lattice_geometry import (
     DecodeCostExceeded,
     ShapingShell,
     build_codebook,
+    codebook_csv,
     codebook_to_csv,
     find_shift,
     message_codebook,

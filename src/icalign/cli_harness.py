@@ -18,11 +18,12 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import det_channel, gaussian_sim, regime
-from .lattice_geometry import ShapingShell, codebook_to_csv, find_shift
+from .lattice_geometry import ShapingShell, codebook_csv, find_shift
 from .zp_codes import design_lattice, fundamental_volume, lattice_to_text
 
 ENV_PREFIX = "ICALIGN_"
@@ -55,6 +56,7 @@ REQUIRED_KEYS = {
 
 _INT_KEYS = {"seed", "trials", "K", "n", "p", "shift_trials", "n_d", "n_c"}
 _FLOAT_KEYS = {"P", "a2", "Pprime", "R", "R_frac", "Rprime"}
+_POSITIVE_KEYS = {"P", "Rprime"}  # the other float keys may be 0
 
 CSV_COLUMNS = {
     "regime": ["K", "P", "a2", "two_user", "joint_decode", "alignment",
@@ -99,13 +101,15 @@ def _convert(key: str, raw: str, lineno: int):
     try:
         if key in _INT_KEYS:
             return int(raw)
-        if key in _FLOAT_KEYS:
-            if key == "Rprime" and raw == "auto":
-                return "auto"
-            return float(raw)
-        return raw
+        if key not in _FLOAT_KEYS or (key == "Rprime" and raw == "auto"):
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse {key} = {raw!r}") from None
+    if not math.isfinite(value) or value < 0 or (value == 0 and key in _POSITIVE_KEYS):
+        bound = "> 0" if key in _POSITIVE_KEYS else ">= 0"
+        raise ConfigError(f"line {lineno}: {key} must be finite and {bound}, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -182,7 +186,21 @@ def grid_points(spec: ExperimentSpec) -> list[dict]:
     return points
 
 
-def _resolve_rates(params: dict, P: float) -> tuple[float, float]:
+class _CodebookKey(NamedTuple):
+    """Everything a codebook build depends on, defaults and rates resolved."""
+
+    n: int
+    P: float
+    Pprime: float
+    p: int
+    R: float
+    Rprime: float
+    shift_trials: int
+    seed: int
+
+
+def _codebook_key(params: dict, seed: int) -> _CodebookKey:
+    P = params["P"]
     c1 = regime.interference_free_capacity(P)
     R = params["R"] if "R" in params else params["R_frac"] * c1
     rp = params.get("Rprime", "auto")
@@ -192,30 +210,22 @@ def _resolve_rates(params: dict, P: float) -> tuple[float, float]:
         rp = (R + c1) / 2.0
         if rp <= R:
             rp = R + 0.05
-    return R, rp
+    return _CodebookKey(params["n"], P, params.get("Pprime", P / 4.0), params.get("p", 5),
+                        R, rp, params.get("shift_trials", 64), seed)
 
 
-def _simulate_codebook_key(params: dict, seed: int):
-    P = params["P"]
-    R, Rprime = _resolve_rates(params, P)
-    return (params["n"], P, params.get("Pprime", P / 4.0), params.get("p", 5),
-            R, Rprime, params.get("shift_trials", 64), seed)
-
-
-def _build_codebook(key):
-    n, P, Pprime, p, R, Rprime, shift_trials, seed = key
-    shell = ShapingShell(n=n, P=P, P_prime=Pprime)
-    lat = design_lattice(n, Rprime, shell.volume(), p=p, seed=seed)
-    shift, cb = find_shift(lat, shell, R, trials=shift_trials, seed=seed)
+def _build_codebook(key: _CodebookKey):
+    shell = ShapingShell(n=key.n, P=key.P, P_prime=key.Pprime)
+    lat = design_lattice(key.n, key.Rprime, shell.volume(), p=key.p, seed=key.seed)
+    shift, cb = find_shift(lat, shell, key.R, trials=key.shift_trials, seed=key.seed)
     return cb
 
 
-def _simulate_point(params: dict, spec: ExperimentSpec, cb) -> tuple[dict, gaussian_sim.SimulationReport]:
-    P = params["P"]
-    R, Rprime = _resolve_rates(params, P)
+def _simulate_point(params: dict, key: _CodebookKey, spec: ExperimentSpec,
+                    cb) -> tuple[dict, gaussian_sim.SimulationReport]:
     a = math.sqrt(params["a2"])
     config = gaussian_sim.ChannelConfig(
-        K=params["K"], a=a, P=P, n=params["n"], seed=spec.seed
+        K=params["K"], a=a, P=key.P, n=key.n, seed=spec.seed
     )
     mode = params.get("mode", "two_stage")
     report = gaussian_sim.run_monte_carlo(
@@ -223,9 +233,9 @@ def _simulate_point(params: dict, spec: ExperimentSpec, cb) -> tuple[dict, gauss
         block_count=min(SIM_BLOCK_COUNT, spec.trials),
     )
     row = {
-        "K": params["K"], "a2": params["a2"], "P": P,
-        "Pprime": params.get("Pprime", P / 4.0), "n": params["n"],
-        "p": params.get("p", 5), "R": R, "Rprime": cb.R_prime,
+        "K": params["K"], "a2": params["a2"], "P": key.P,
+        "Pprime": key.Pprime, "n": key.n,
+        "p": key.p, "R": key.R, "Rprime": cb.R_prime,
         "mode": mode, "trials": spec.trials, "seed": spec.seed,
         "codebook_size": report.codebook_size,
         "message_count": report.message_count,
@@ -260,20 +270,13 @@ def _det_point(params: dict) -> dict:
     }
 
 
-def _lattice_point(params: dict, spec: ExperimentSpec) -> tuple[dict, object]:
-    P = params["P"]
-    R, Rprime = _resolve_rates(params, P)
-    shell = ShapingShell(n=params["n"], P=P, P_prime=params.get("Pprime", P / 4.0))
-    lat = design_lattice(params["n"], Rprime, shell.volume(), p=params.get("p", 5),
-                         seed=spec.seed)
-    shift, cb = find_shift(lat, shell, R, trials=params.get("shift_trials", 64),
-                           seed=spec.seed)
-    row = {
+def _lattice_row(key: _CodebookKey, cb) -> dict:
+    lat = cb.lattice
+    return {
         "p": lat.p, "n": lat.n, "k": lat.k, "gamma": lat.gamma,
-        "volume": fundamental_volume(lat), "R": R, "Rprime": cb.R_prime,
+        "volume": fundamental_volume(lat), "R": key.R, "Rprime": cb.R_prime,
         "codebook_size": len(cb), "shortfall": cb.shortfall,
     }
-    return row, cb
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -318,35 +321,36 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
         raise ConfigError("empty parameter grid")
     out = spec.out_dir
     base = os.path.join(out, f"{spec.name}_{spec.subcommand}")
-    written: list[str] = []
-
     reports: list = [None] * len(points)
-    extras: list = [None] * len(points)
 
-    def run_point(idx: int):
-        params = points[idx]
+    def at_point(idx: int, fn, *args):
         try:
-            if spec.subcommand == "regime":
-                return _regime_point(params)
-            if spec.subcommand == "det":
-                return _det_point(params)
-            if spec.subcommand == "simulate":
-                row, report = _simulate_point(params, spec, codebooks[_simulate_codebook_key(params, spec.seed)])
-                reports[idx] = report
-                return row
-            row, cb = _lattice_point(params, spec)
-            extras[idx] = cb
-            return row
+            return fn(*args)
         except Exception as exc:
-            raise ExperimentError(f"grid point {idx} {params}: {exc}") from exc
+            raise ExperimentError(f"grid point {idx} {points[idx]}: {exc}") from exc
 
+    # codebooks are built serially so shift search is independent of thread schedule
+    keys = [_codebook_key(params, spec.seed) for params in points
+            if spec.subcommand in ("simulate", "lattice")]
     codebooks = {}
-    if spec.subcommand == "simulate":
-        # built serially so shift search is independent of thread schedule
-        for params in points:
-            key = _simulate_codebook_key(params, spec.seed)
-            if key not in codebooks:
-                codebooks[key] = _build_codebook(key)
+    for idx, key in enumerate(keys):
+        if key not in codebooks:
+            codebooks[key] = at_point(idx, _build_codebook, key)
+
+    def point_row(idx: int) -> dict:
+        params = points[idx]
+        if spec.subcommand == "regime":
+            return _regime_point(params)
+        if spec.subcommand == "det":
+            return _det_point(params)
+        key = keys[idx]
+        if spec.subcommand == "lattice":
+            return _lattice_row(key, codebooks[key])
+        row, reports[idx] = _simulate_point(params, key, spec, codebooks[key])
+        return row
+
+    def run_point(idx: int) -> dict:
+        return at_point(idx, point_row, idx)
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -354,10 +358,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     else:
         rows = [run_point(i) for i in range(len(points))]
 
-    csv_path = base + ".csv"
-    _atomic_write(csv_path, _csv_text(CSV_COLUMNS[spec.subcommand], rows))
-    written.append(csv_path)
-
+    # every output, in write order; all go through _atomic_write below
+    outputs = {base + ".csv": _csv_text(CSV_COLUMNS[spec.subcommand], rows)}
     summary = {
         "name": spec.name,
         "subcommand": spec.subcommand,
@@ -372,24 +374,16 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
         for idx, report in enumerate(reports):
             for r in gaussian_sim.report_csv_rows(report):
                 block_rows.append({"grid_index": idx, **r})
-        blocks_path = base + "_blocks.csv"
-        _atomic_write(blocks_path, _csv_text(BLOCK_CSV_COLUMNS, block_rows))
-        written.append(blocks_path)
-    json_path = base + ".json"
-    _atomic_write(json_path, json.dumps(summary, sort_keys=True, indent=1) + "\n")
-    written.append(json_path)
+        outputs[base + "_blocks.csv"] = _csv_text(BLOCK_CSV_COLUMNS, block_rows)
+    outputs[base + ".json"] = json.dumps(summary, sort_keys=True, indent=1) + "\n"
+    if spec.subcommand == "lattice":  # no sweep keys: exactly one grid point
+        cb = codebooks[keys[0]]
+        outputs[os.path.join(out, f"{spec.name}_codebook.csv")] = codebook_csv(cb)
+        outputs[os.path.join(out, f"{spec.name}_lattice.txt")] = lattice_to_text(cb.lattice)
 
-    if spec.subcommand == "lattice":
-        for idx, cb in enumerate(extras):
-            tag = f"_{idx}" if len(extras) > 1 else ""
-            cb_path = os.path.join(out, f"{spec.name}_codebook{tag}.csv")
-            os.makedirs(out, exist_ok=True)
-            codebook_to_csv(cb, cb_path)
-            lat_path = os.path.join(out, f"{spec.name}_lattice{tag}.txt")
-            _atomic_write(lat_path, lattice_to_text(cb.lattice))
-            written.extend([cb_path, lat_path])
-
-    return rows, written
+    for path, text in outputs.items():
+        _atomic_write(path, text)
+    return rows, list(outputs)
 
 
 def emit_plot_data(rows: list[dict], x_column: str, y_columns, group_by: str | None = None) -> str:
@@ -455,7 +449,10 @@ def _env_default(name: str, cast, fallback):
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return fallback
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigError(f"cannot parse {ENV_PREFIX}{name} = {raw!r}") from None
 
 
 def _add_common_flags(sp):
@@ -473,25 +470,24 @@ def _load_spec(args) -> ExperimentSpec:
         raise ConfigError(
             f"config subcommand {spec.subcommand!r} does not match {args.command!r}"
         )
-    if args.seed is not None:
-        spec.seed = args.seed
-    else:
-        spec.seed = _env_default("SEED", int, spec.seed)
-    if args.trials is not None:
-        spec.trials = args.trials
-    else:
-        spec.trials = _env_default("TRIALS", int, spec.trials)
-    if args.out is not None:
-        spec.out_dir = args.out
-    else:
-        spec.out_dir = _env_default("OUT", str, spec.out_dir)
+    spec.seed = _flag_or_env(args, "seed", int, spec.seed)
+    spec.trials = _flag_or_env(args, "trials", int, spec.trials)
+    spec.out_dir = _flag_or_env(args, "out", str, spec.out_dir)
     return spec
 
 
+def _flag_or_env(args, flag: str, cast, fallback):
+    """The --flag value, else ICALIGN_<FLAG> from the environment, else fallback."""
+    value = getattr(args, flag)
+    return value if value is not None else _env_default(flag.upper(), cast, fallback)
+
+
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return _env_default("THREADS", int, 1)
+    threads = _flag_or_env(args, "threads", int, 1)
+    if threads < 1:
+        source = "--threads" if args.threads is not None else ENV_PREFIX + "THREADS"
+        raise ConfigError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def main(argv=None) -> int:
@@ -532,25 +528,20 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "regime":
-        if args.sweep:
-            p_min, p_max = float(args.sweep[0]), float(args.sweep[1])
-            rows = regime_sweep_rows(args.K, p_min, p_max, int(args.sweep[2]))
-            text = _csv_text(SWEEP_CSV_COLUMNS, rows)
-            out = args.out or _env_default("OUT", str, None)
-            if out:
-                path = os.path.join(out, "regime_sweep.csv")
-                _atomic_write(path, text)
-                print(path)
-            else:
-                print(text, end="")
-            return 0
-        if args.config:
-            spec = _load_spec(args)
-            _, written = run_experiment(spec, threads=_threads(args))
-            for path in written:
-                print(path)
-            return 0
+    if args.command == "regime" and args.sweep:
+        p_min, p_max = float(args.sweep[0]), float(args.sweep[1])
+        rows = regime_sweep_rows(args.K, p_min, p_max, int(args.sweep[2]))
+        text = _csv_text(SWEEP_CSV_COLUMNS, rows)
+        out = args.out or _env_default("OUT", str, None)
+        if out:
+            path = os.path.join(out, "regime_sweep.csv")
+            _atomic_write(path, text)
+            print(path)
+        else:
+            print(text, end="")
+        return 0
+
+    if args.command == "regime" and not args.config:
         if args.P is None or args.a2 is None:
             raise ConfigError("regime needs --sweep, --config, or both --P and --a2")
         print(regime.format_report(regime.classify(args.K, args.P, math.sqrt(args.a2))))

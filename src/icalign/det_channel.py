@@ -76,17 +76,23 @@ def _validate_inputs(cfg: DetChannelConfig, inputs) -> np.ndarray:
     return arr
 
 
+def _receiver_output(cfg: DetChannelConfig, bits: np.ndarray, j: int) -> np.ndarray:
+    """Receiver j's (N, q) output for an (N, K, n_d) bit array, in the bits' dtype."""
+    n_d, n_c = cfg.n_d, cfg.n_c
+    y = np.zeros((bits.shape[0], cfg.q), dtype=bits.dtype)
+    y[:, :n_d] ^= bits[:, j, :]
+    if n_c > 0:
+        # mod-2 sum over interferers, per bit
+        inter = ((bits.sum(axis=1, dtype=np.int64) - bits[:, j, :]) & 1).astype(bits.dtype)
+        b0 = max(0, n_d - n_c)  # bits below level 0 are lost
+        y[:, n_c - n_d + b0 : n_c] ^= inter[:, b0:]
+    return y
+
+
 def det_output(cfg: DetChannelConfig, inputs) -> np.ndarray:
     """Receiver outputs, K x q bit array; bit index == level index."""
-    x = _validate_inputs(cfg, inputs)
-    y = np.zeros((cfg.K, cfg.q), dtype=np.int64)
-    for j in range(cfg.K):
-        y[j, : cfg.n_d] ^= x[j]
-        if cfg.n_c > 0:
-            inter = (x.sum(axis=0) - x[j]) & 1  # mod-2 sum over interferers, per bit
-            b0 = max(0, cfg.n_d - cfg.n_c)  # bits below level 0 are lost
-            y[j, cfg.n_c - cfg.n_d + b0 : cfg.n_c] ^= inter[b0:]
-    return y
+    x = _validate_inputs(cfg, inputs)[None]
+    return np.vstack([_receiver_output(cfg, x, j) for j in range(cfg.K)])
 
 
 def det_decode(cfg: DetChannelConfig, y_j) -> tuple[np.ndarray, np.ndarray]:
@@ -121,25 +127,18 @@ def det_capacity_check(cfg: DetChannelConfig, cap_bits: int = EXHAUSTION_CAP_BIT
 
     Exhaustive over all 2^(K*n_d) input tuples: receiver j is zero-error
     iff no two tuples with different own bits collide on y_j (no decoder,
-    however clever, can beat that).  When the level bands are disjoint the
-    result is cross-checked against det_decode.
+    however clever, can beat that).  When the level bands are disjoint,
+    the own-bit band of every output is also checked against the inputs.
     """
     total_bits = cfg.K * cfg.n_d
     if total_bits > cap_bits:
         raise EnumerationTooLarge(f"K*n_d = {total_bits} bits exceeds cap {cap_bits}")
     bits = _all_input_bits(cfg)
-    n_d, n_c, q = cfg.n_d, cfg.n_c, cfg.q
-    level_weights = 1 << np.arange(q, dtype=np.int64)
+    n_d = cfg.n_d
+    level_weights = 1 << np.arange(cfg.q, dtype=np.int64)
     ok = True
     for j in range(cfg.K):
-        y = np.zeros((bits.shape[0], q), dtype=np.uint8)
-        y[:, :n_d] ^= bits[:, j, :]
-        if n_c > 0:
-            inter = (
-                (bits.sum(axis=1, dtype=np.int64) - bits[:, j, :]) & 1
-            ).astype(np.uint8)
-            b0 = max(0, n_d - n_c)
-            y[:, n_c - n_d + b0 : n_c] ^= inter[:, b0:]
+        y = _receiver_output(cfg, bits, j)
         y_int = y.astype(np.int64) @ level_weights
         own_int = bits[:, j, :].astype(np.int64) @ level_weights[:n_d]
         keys = y_int << n_d | own_int

@@ -132,10 +132,24 @@ def two_stage_decode(
     x_j + z_j exactly.  A stage-1 error is not detected; stage 2 proceeds
     on the wrong residual and the resulting message error is counted.
     """
+    return _receive(cb, a, K, y, "two_stage", codewords,
+                    true_interference, true_message, true_signal_plus_noise)
+
+
+def _receive(
+    cb: Codebook, a: float, K: int, y, mode: str, codewords=None, true_interference=None,
+    true_message=None, true_signal_plus_noise=None,
+) -> tuple[int | None, TrialResult]:
+    """two_stage_decode for any of MODES; no_interference has no stage 1."""
     y = np.asarray(y, dtype=float)
-    t_hat = decode_interference_sum(cb.lattice, a, cb.shift, K, y, codewords=codewords)
-    residual = y - (K - 1) * a * cb.shift - t_hat
-    m_hat, _ = nearest_codeword(cb, residual)
+    t_hat, residual = None, y
+    if mode != "no_interference":
+        t_hat = decode_interference_sum(cb.lattice, a, cb.shift, K, y, codewords=codewords)
+        residual = y - (K - 1) * a * cb.shift - t_hat
+    if mode == "lattice_only":
+        m_hat = lattice_only_decode(cb.lattice, cb.shift, cb, residual, codewords=codewords)
+    else:
+        m_hat, _ = nearest_codeword(cb, residual)
     intf_err = None
     if true_interference is not None:
         intf_err = not np.allclose(t_hat, true_interference, rtol=0, atol=POINT_MATCH_TOL)
@@ -304,13 +318,10 @@ def run_monte_carlo(
 
     K, n, a = config.K, config.n, config.a
     codewords = enumerate_codewords(lat.code)
-    shift = cb.shift
     sigma = math.sqrt(config.noise_variance)
     block_count = max(1, min(block_count, trials))
     bounds = np.array([round(trials * b / block_count) for b in range(block_count + 1)])
 
-    intf_errors = np.zeros(K, dtype=np.int64)
-    msg_errors = np.zeros(K, dtype=np.int64)
     msg_errors_intf_ok = np.zeros(K, dtype=np.int64)
     eff_sum = np.zeros(K)
     eff_sumsq = np.zeros(K)
@@ -329,39 +340,28 @@ def run_monte_carlo(
         X = cb.codewords[msgs]
         Z = sigma * rng.standard_normal((K, n))
         Y = channel_output(X, a, Z)
-        lambdas = X - shift
+        lambdas = X - cb.shift
         lam_total = lambdas.sum(axis=0)
         for j in range(K):
-            eff = float(((X[j] + Z[j]) ** 2).mean())
-            eff_sum[j] += eff
-            eff_sumsq[j] += eff * eff
-            if mode == "no_interference":
-                m_hat, _ = nearest_codeword(cb, Y[j])
-                msg_err = m_hat != msgs[j]
-                intf_err = False
-            else:
+            true_sum = None
+            if mode != "no_interference":
                 true_sum = a * (lam_total - lambdas[j])
                 align_checks += 1
                 if not is_lattice_point(lat, true_sum, scale=a):
                     align_violations += 1
-                t_hat = decode_interference_sum(lat, a, shift, K, Y[j], codewords=codewords)
-                intf_err = not np.allclose(t_hat, true_sum, rtol=0, atol=POINT_MATCH_TOL)
-                residual = Y[j] - (K - 1) * a * shift - t_hat
-                if mode == "two_stage":
-                    m_hat, _ = nearest_codeword(cb, residual)
-                    msg_err = m_hat != msgs[j]
-                else:  # lattice_only
-                    idx = lattice_only_decode(lat, shift, cb, residual, codewords=codewords)
-                    msg_err = idx is None or idx != msgs[j]
+            _, res = _receive(cb, a, K, Y[j], mode, codewords, true_sum, msgs[j], X[j] + Z[j])
+            eff = res.effective_noise_power
+            eff_sum[j] += eff
+            eff_sumsq[j] += eff * eff
+            intf_err, msg_err = res.interference_error, res.message_error
             if intf_err:
-                intf_errors[j] += 1
                 blk_intf[block, j] += 1
             if msg_err:
-                msg_errors[j] += 1
                 blk_msg[block, j] += 1
                 if not intf_err:
                     msg_errors_intf_ok[j] += 1
     wall = time.perf_counter() - t0
+    intf_errors, msg_errors = blk_intf.sum(axis=0), blk_msg.sum(axis=0)
 
     mean = eff_sum / trials
     var = np.maximum(eff_sumsq / trials - mean**2, 0.0)

@@ -10,19 +10,19 @@ sqrt(nP).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .zp_codes import (
+    ENUMERATION_CAP,
     ConstructionALattice,
     EnumerationTooLarge,
     enumerate_codewords,
     fundamental_volume,
 )
-
-DECODE_COST_CAP = 1 << 20
 
 # Cap on candidate box points examined while enumerating one codebook.
 CODEBOOK_ENUM_CAP = 1 << 24
@@ -95,7 +95,7 @@ def nearest_lattice_point(
     target,
     scale: float = 1.0,
     codewords: np.ndarray | None = None,
-    cost_cap: int = DECODE_COST_CAP,
+    cost_cap: int = ENUMERATION_CAP,
 ) -> np.ndarray:
     """Exact closest point of scale * gamma * Lambda_C to `target`.
 
@@ -288,10 +288,17 @@ def nearest_codeword(cb: Codebook, y) -> tuple[int, np.ndarray]:
     return idx, cb.codewords[idx].copy()
 
 
+def codebook_csv(cb: Codebook) -> str:
+    """CSV text with one codeword per row, index first column."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["index"] + [f"x{i}" for i in range(cb.lattice.n)])
+    for i, row in enumerate(cb.codewords):
+        writer.writerow([i] + [repr(float(v)) for v in row])
+    return buf.getvalue()
+
+
 def codebook_to_csv(cb: Codebook, path) -> None:
-    """One codeword per row, index first column."""
+    """Write codebook_csv(cb) to `path`."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + [f"x{i}" for i in range(cb.lattice.n)])
-        for i, row in enumerate(cb.codewords):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+        fh.write(codebook_csv(cb))

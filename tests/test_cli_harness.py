@@ -298,3 +298,85 @@ def test_env_overrides(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 0
     text = open(outdir / "mini_simulate.csv").read()
     assert ",25," in text
+
+
+@pytest.mark.parametrize("name", ["SEED", "TRIALS", "THREADS"])
+def test_env_non_integer_exits_2_naming_variable(tmp_path, monkeypatch, capsys, name):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(MINIMAL_SIM)
+    monkeypatch.setenv(f"ICALIGN_{name}", "abc")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"ICALIGN_{name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_threads_flag_below_one_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(MINIMAL_SIM)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                 "--threads", value]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "mini_simulate.csv").exists()
+
+
+def test_threads_env_below_one_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(MINIMAL_SIM)
+    monkeypatch.setenv("ICALIGN_THREADS", "0")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "ICALIGN_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "mini_simulate.csv").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "P = nan", "P = inf", "P = 0", "P = -1", "a2 = -4", "a2 = 4, -inf",
+    "R = -0.1", "R_frac = nan", "Pprime = -0.5", "Rprime = 0", "Rprime = -1",
+])
+def test_parse_rejects_nonfinite_and_out_of_range_floats(line):
+    key = line.split()[0]
+    drop = ("R =", "R_frac =") if key in ("R", "R_frac") else (f"{key} =",)
+    lines = [ln for ln in MINIMAL_SIM.strip().splitlines() if not ln.startswith(drop)]
+    text = "\n".join(lines + [line]) + "\n"
+    with pytest.raises(ConfigError, match=rf"line {len(lines) + 1}: {key} must be"):
+        parse_config(text)
+
+
+def test_parse_accepts_zero_a2_pprime_and_auto_rprime():
+    spec = parse_config(MINIMAL_SIM.replace("a2 = 4", "a2 = 0")
+                        + "mode = no_interference\nPprime = 0\nRprime = auto\n")
+    assert spec.params["a2"] == [0.0]
+    assert spec.params["Pprime"] == 0.0
+    assert spec.params["Rprime"] == "auto"
+
+
+def test_lattice_codebook_csv_written_atomically(tmp_path, monkeypatch):
+    from icalign import cli_harness
+    from icalign.lattice_geometry import codebook_to_csv
+
+    built = []
+    find_shift = cli_harness.find_shift
+
+    def recording_find_shift(*args, **kwargs):
+        shift, cb = find_shift(*args, **kwargs)
+        built.append(cb)
+        return shift, cb
+
+    monkeypatch.setattr(cli_harness, "find_shift", recording_find_shift)
+    renamed = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (renamed.append(dst), replace(src, dst)))
+    out = tmp_path / "out"
+    spec = parse_config(
+        f"name = lat\nsubcommand = lattice\nn = 4\np = 3\nP = 2\nR = 0.4\n"
+        f"seed = 5\nout = {out}\n"
+    )
+    _, written = run_experiment(spec)
+    assert len(built) == 1
+    ref = tmp_path / "ref.csv"
+    codebook_to_csv(built[0], ref)
+    data = (out / "lat_codebook.csv").read_bytes()
+    assert data == ref.read_bytes()
+    assert b"\r\n" in data
+    assert str(out / "lat_codebook.csv") in written
+    assert str(out / "lat_codebook.csv") in renamed  # temp file + rename
+    assert not [f for f in os.listdir(out) if f.startswith(".tmp_")]

@@ -169,3 +169,21 @@ def test_config_validation():
         DetChannelConfig(K=2, n_d=0, n_c=2)
     with pytest.raises(ValueError):
         DetChannelConfig(K=2, n_d=1, n_c=-1)
+
+
+def test_capacity_check_matches_brute_force_on_det_output():
+    # det_capacity_check against a collision check built on det_output:
+    # receiver j is zero-error iff no output value comes from two inputs
+    # with different own bits
+    for K in range(2, 4):
+        for n_d in range(1, 3):
+            for n_c in range(0, 6):
+                cfg = DetChannelConfig(K=K, n_d=n_d, n_c=n_c)
+                own_bits_by_output = [{} for _ in range(K)]
+                for x in all_inputs(cfg):
+                    y = det_output(cfg, x)
+                    for j in range(K):
+                        own_bits_by_output[j].setdefault(tuple(y[j]), set()).add(tuple(x[j]))
+                expected = all(len(own) == 1 for seen in own_bits_by_output
+                               for own in seen.values())
+                assert det_capacity_check(cfg) == expected, (K, n_d, n_c)

@@ -293,6 +293,50 @@ def test_no_interference_baseline_reduces_to_nearest_codeword():
     assert report.intf_error_rate.tolist() == [0.0, 0.0]
 
 
+
+@pytest.mark.parametrize("mode", ["two_stage", "lattice_only", "no_interference"])
+def test_monte_carlo_agrees_with_public_decoders(mode):
+    # replay the per-trial substreams [seed, 2, i] through the public
+    # decoders of each mode and compare every per-user error count
+    n, P, K, seed, trials = 4, 2.0, 3, 13, 120
+    a = 0.0 if mode == "no_interference" else 2.5
+    shell = ShapingShell(n=n, P=P, P_prime=P / 4)
+    lat = design_lattice(n, 0.9, shell.volume(), p=3, seed=2)  # k = 1, 12 codewords
+    _, cb = find_shift(lat, shell, 0.5, trials=16, seed=2)  # 4 of them carry messages
+    report = run_monte_carlo(ChannelConfig(K=K, a=a, P=P, n=n, seed=seed), cb, trials,
+                             mode=mode)
+    mcb = message_codebook(cb)
+    intf = np.zeros(K, dtype=int)
+    msg = np.zeros(K, dtype=int)
+    msg_intf_ok = np.zeros(K, dtype=int)
+    for i in range(trials):
+        rng = np.random.default_rng([seed, 2, i])
+        msgs = rng.integers(0, mcb.message_count, size=K)
+        X = mcb.codewords[msgs]
+        Y = channel_output(X, a, rng.standard_normal((K, n)))
+        lam = X - mcb.shift
+        for j in range(K):
+            true_t = a * (lam.sum(axis=0) - lam[j])
+            if mode == "two_stage":
+                m_hat, res = two_stage_decode(mcb, a, K, Y[j], true_interference=true_t)
+                intf_err = res.interference_error
+            elif mode == "lattice_only":
+                t_hat = decode_interference_sum(lat, a, mcb.shift, K, Y[j])
+                intf_err = not np.allclose(t_hat, true_t, rtol=0, atol=1e-9)
+                residual = Y[j] - (K - 1) * a * mcb.shift - t_hat
+                m_hat = lattice_only_decode(lat, mcb.shift, mcb, residual)
+            else:
+                m_hat, _ = nearest_codeword(mcb, Y[j])
+                intf_err = False
+            msg_err = m_hat is None or m_hat != msgs[j]
+            intf[j] += intf_err
+            msg[j] += msg_err
+            msg_intf_ok[j] += msg_err and not intf_err
+    assert np.array_equal(report.intf_errors, intf)
+    assert np.array_equal(report.msg_errors, msg)
+    assert np.array_equal(report.msg_errors_intf_ok, msg_intf_ok)
+    assert report.msg_errors.sum() > 0  # the replay compares real decisions
+
 def test_point_to_point_sanity_low_error():
     # a = 0, R well below capacity: nearest-codeword decoding over a
     # well-separated message set should be reliable at n = 8
