@@ -24,7 +24,7 @@ import numpy as np
 
 from . import det_channel, gaussian_sim, regime
 from .lattice_geometry import ShapingShell, codebook_csv, find_shift
-from .zp_codes import design_lattice, fundamental_volume, lattice_to_text
+from .zp_codes import design_lattice, fundamental_volume, is_prime, lattice_to_text
 
 ENV_PREFIX = "ICALIGN_"
 
@@ -54,7 +54,9 @@ REQUIRED_KEYS = {
     "lattice": ("n", "P", "R"),
 }
 
-_INT_KEYS = {"seed", "trials", "K", "n", "p", "shift_trials", "n_d", "n_c"}
+# integer keys and their least value (p must also be prime); threads is a flag only
+_INT_KEYS = {"seed": 0, "trials": 1, "threads": 1, "K": 2, "n": 1, "p": 2,
+             "shift_trials": 1, "n_d": 1, "n_c": 0}
 _FLOAT_KEYS = {"P", "a2", "Pprime", "R", "R_frac", "Rprime"}
 _POSITIVE_KEYS = {"P", "Rprime"}  # the other float keys may be 0
 
@@ -97,18 +99,39 @@ class ExperimentSpec:
     out_dir: str
 
 
+def _range_rule(key: str, value) -> str | None:
+    """The rule `value` breaks as a value of `key`, or None if it keeps them all."""
+    if key in _INT_KEYS:
+        if value < _INT_KEYS[key]:
+            return f"must be >= {_INT_KEYS[key]}"
+        return "must be prime" if key == "p" and not is_prime(value) else None
+    if key in _FLOAT_KEYS:
+        if not math.isfinite(value) or value < 0 or (value == 0 and key in _POSITIVE_KEYS):
+            return "must be finite and " + ("> 0" if key in _POSITIVE_KEYS else ">= 0")
+    return None
+
+
 def _convert(key: str, raw: str, lineno: int):
     try:
         if key in _INT_KEYS:
-            return int(raw)
-        if key not in _FLOAT_KEYS or (key == "Rprime" and raw == "auto"):
+            value = int(raw)
+        elif key not in _FLOAT_KEYS or (key == "Rprime" and raw == "auto"):
             return raw
-        value = float(raw)
+        else:
+            value = float(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse {key} = {raw!r}") from None
-    if not math.isfinite(value) or value < 0 or (value == 0 and key in _POSITIVE_KEYS):
-        bound = "> 0" if key in _POSITIVE_KEYS else ">= 0"
-        raise ConfigError(f"line {lineno}: {key} must be finite and {bound}, got {raw!r}")
+    rule = _range_rule(key, value)
+    if rule:
+        raise ConfigError(f"line {lineno}: {key} {rule}, got {raw!r}")
+    return value
+
+
+def _checked_flag(source: str, key: str, value):
+    """`value`, read from flag or variable `source`, if it keeps `key`'s range rule."""
+    rule = _range_rule(key, value)
+    if rule:
+        raise ConfigError(f"{source} {rule}, got {value!r}")
     return value
 
 
@@ -477,17 +500,18 @@ def _load_spec(args) -> ExperimentSpec:
 
 
 def _flag_or_env(args, flag: str, cast, fallback):
-    """The --flag value, else ICALIGN_<FLAG> from the environment, else fallback."""
+    """The --flag value, else ICALIGN_<FLAG> from the environment, else fallback.
+
+    A value from the flag or the environment must keep the range rule of
+    the config key of the same name.
+    """
     value = getattr(args, flag)
-    return value if value is not None else _env_default(flag.upper(), cast, fallback)
-
-
-def _threads(args) -> int:
-    threads = _flag_or_env(args, "threads", int, 1)
-    if threads < 1:
-        source = "--threads" if args.threads is not None else ENV_PREFIX + "THREADS"
-        raise ConfigError(f"{source} must be >= 1, got {threads}")
-    return threads
+    if value is not None:
+        return _checked_flag(f"--{flag}", flag, value)
+    value = _env_default(flag.upper(), cast, None)
+    if value is not None:
+        return _checked_flag(ENV_PREFIX + flag.upper(), flag, value)
+    return fallback
 
 
 def main(argv=None) -> int:
@@ -530,7 +554,8 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "regime" and args.sweep:
         p_min, p_max = float(args.sweep[0]), float(args.sweep[1])
-        rows = regime_sweep_rows(args.K, p_min, p_max, int(args.sweep[2]))
+        rows = regime_sweep_rows(_checked_flag("--K", "K", args.K), p_min, p_max,
+                                 int(args.sweep[2]))
         text = _csv_text(SWEEP_CSV_COLUMNS, rows)
         out = args.out or _env_default("OUT", str, None)
         if out:
@@ -544,13 +569,18 @@ def _dispatch(args) -> int:
     if args.command == "regime" and not args.config:
         if args.P is None or args.a2 is None:
             raise ConfigError("regime needs --sweep, --config, or both --P and --a2")
-        print(regime.format_report(regime.classify(args.K, args.P, math.sqrt(args.a2))))
+        report = regime.classify(_checked_flag("--K", "K", args.K),
+                                 _checked_flag("--P", "P", args.P),
+                                 math.sqrt(_checked_flag("--a2", "a2", args.a2)))
+        print(regime.format_report(report))
         return 0
 
     if args.command == "det" and not args.config:
         if args.K is None or args.nd is None or args.nc is None:
             raise ConfigError("det needs --config or all of --K --nd --nc")
-        cfg = det_channel.DetChannelConfig(K=args.K, n_d=args.nd, n_c=args.nc)
+        cfg = det_channel.DetChannelConfig(K=_checked_flag("--K", "K", args.K),
+                                           n_d=_checked_flag("--nd", "n_d", args.nd),
+                                           n_c=_checked_flag("--nc", "n_c", args.nc))
         print(det_channel.level_diagram(cfg))
         print(f"zero-error at full rate: {det_channel.det_capacity_check(cfg)}")
         return 0
@@ -558,7 +588,7 @@ def _dispatch(args) -> int:
     if not args.config:
         raise ConfigError(f"{args.command} requires --config")
     spec = _load_spec(args)
-    _, written = run_experiment(spec, threads=_threads(args))
+    _, written = run_experiment(spec, threads=_flag_or_env(args, "threads", int, 1))
     for path in written:
         print(path)
     return 0

@@ -24,7 +24,7 @@ from .zp_codes import (
     fundamental_volume,
 )
 
-# Cap on candidate box points examined while enumerating one codebook.
+# Cap on candidate prefix rows materialised while enumerating one codebook.
 CODEBOOK_ENUM_CAP = 1 << 24
 
 SHIFT_STREAM = 1
@@ -189,10 +189,11 @@ def build_codebook(
 ) -> Codebook:
     """Enumerate (gamma*Lambda_C + shift) inside the shell, exactly.
 
-    Per coset the points within the outer radius live in a small integer
-    box, scanned exhaustively; shell membership is then checked exactly.
-    Points come out sorted lexicographically.  Raises EnumerationTooLarge
-    when the candidate count passes enum_cap.
+    Fincke-Pohst over all cosets at once: prefixes grow one integer coordinate
+    at a time through each coset's box around the outer ball and are dropped
+    once their partial power passes nP; the full power alone decides shell
+    membership.  Points come out sorted lexicographically.  Raises
+    EnumerationTooLarge when the prefix rows materialised pass enum_cap.
     """
     s = np.asarray(shift, dtype=float)
     if s.shape != (lat.n,) or shell.n != lat.n:
@@ -200,33 +201,31 @@ def build_codebook(
     cosets = enumerate_codewords(lat.code)
     g, p, n = lat.gamma, lat.p, lat.n
     r_out = shell.outer_radius
-    lo_b = (-r_out - s) / (g * p)
-    hi_b = (r_out - s) / (g * p)
-    chunks = []
-    examined = 0
-    for c in cosets:
-        lo = np.ceil(lo_b - c / p - 1e-9).astype(np.int64)
-        hi = np.floor(hi_b - c / p + 1e-9).astype(np.int64)
-        if np.any(hi < lo):
-            continue
-        counts = hi - lo + 1
-        examined += int(np.prod(counts))
-        if examined > enum_cap:
-            raise EnumerationTooLarge(
-                f"codebook enumeration passed {enum_cap} candidate points"
-            )
-        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-        Z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        X = g * (c + p * Z) + s
-        r2 = (X**2).sum(axis=1)
-        keep = (r2 >= n * shell.P_prime) & (r2 <= n * shell.P)
-        if np.any(keep):
-            chunks.append(X[keep])
-    if chunks:
-        pts = np.vstack(chunks)
-        pts = pts[np.lexsort(pts.T[::-1])]
-    else:
-        pts = np.zeros((0, n))
+    lo = np.ceil((-r_out - s) / (g * p) - cosets / p - 1e-9).astype(np.int64)
+    hi = np.floor((r_out - s) / (g * p) - cosets / p + 1e-9).astype(np.int64)
+    bound = n * shell.P * (1 + 1e-9)  # slack: r2 below sums in another order
+    coset = np.flatnonzero((hi >= lo).all(axis=1))  # one prefix row per live coset
+    Z = np.zeros((len(coset), 0), dtype=np.int64)
+    power = np.zeros(len(coset))
+    made = 0
+    for j in range(n):
+        counts = hi[coset, j] - lo[coset, j] + 1
+        made += int(counts.sum())
+        if made > enum_cap:
+            raise EnumerationTooLarge(f"codebook enumeration passed {enum_cap} candidate rows")
+        parent = np.repeat(np.arange(len(coset)), counts)
+        # rows stay sorted by (coset, z_0, .., z_j); the stable sort below keeps that on ties
+        zj = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - lo[coset, j], counts)
+        power_j = power[parent] + (g * (cosets[coset[parent], j] + p * zj) + s[j]) ** 2
+        live = power_j <= bound
+        parent = parent[live]
+        coset, power = coset[parent], power_j[live]
+        Z = np.column_stack([Z[parent], zj[live]])
+    X = g * (cosets[coset] + p * Z) + s
+    r2 = (X**2).sum(axis=1)
+    keep = (r2 >= n * shell.P_prime) & (r2 <= n * shell.P)
+    pts = X[keep]
+    pts = pts[np.lexsort(pts.T[::-1])]
     return Codebook(lattice=lat, shift=s, shell=shell, codewords=pts, R=R)
 
 

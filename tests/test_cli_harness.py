@@ -380,3 +380,94 @@ def test_lattice_codebook_csv_written_atomically(tmp_path, monkeypatch):
     assert str(out / "lat_codebook.csv") in written
     assert str(out / "lat_codebook.csv") in renamed  # temp file + rename
     assert not [f for f in os.listdir(out) if f.startswith(".tmp_")]
+
+
+@pytest.mark.parametrize("line, rule", [
+    ("K = 1", "K must be >= 2"),
+    ("n = 0", "n must be >= 1"),
+    ("p = 4", "p must be prime"),
+    ("p = 1", "p must be >= 2"),
+    ("trials = 0", "trials must be >= 1"),
+    ("seed = -3", "seed must be >= 0"),
+    ("shift_trials = 0", "shift_trials must be >= 1"),
+])
+def test_parse_rejects_out_of_range_integers(line, rule):
+    key = line.split()[0]
+    lines = [ln for ln in MINIMAL_SIM.strip().splitlines() if not ln.startswith(f"{key} =")]
+    text = "\n".join(lines + [line]) + "\n"
+    with pytest.raises(ConfigError, match=rf"line {len(lines) + 1}: {rule}"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("line, rule", [
+    ("n_d = 0", "n_d must be >= 1"),
+    ("n_c = -1", "n_c must be >= 0"),
+    ("K = 3, 1", "K must be >= 2"),
+])
+def test_parse_rejects_out_of_range_det_integers(line, rule):
+    key = line.split()[0]
+    lines = [ln for ln in ("subcommand = det", "K = 3", "n_d = 1", "n_c = 2")
+             if not ln.startswith(f"{key} =")]
+    with pytest.raises(ConfigError, match=rf"line {len(lines) + 1}: {rule}"):
+        parse_config("\n".join(lines + [line]) + "\n")
+
+
+def test_parse_accepts_integer_lower_bounds():
+    spec = parse_config(MINIMAL_SIM.replace("K = 3", "K = 2").replace("seed = 7", "seed = 0")
+                        .replace("trials = 40", "trials = 1").replace("p = 3", "p = 2")
+                        .replace("n = 4", "n = 1") + "shift_trials = 1\n")
+    assert (spec.params["K"], spec.params["n"], spec.params["p"]) == (2, [1], 2)
+    assert (spec.trials, spec.seed, spec.params["shift_trials"]) == (1, 0, 1)
+    det = parse_config("subcommand = det\nK = 2\nn_d = 1\nn_c = 0\n")
+    assert (det.params["n_d"], det.params["n_c"]) == ([1], [0])
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--seed", "-3")])
+def test_trials_and_seed_flags_out_of_range_exit_2(tmp_path, capsys, flag, value):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(MINIMAL_SIM)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path), flag, value]) == 2
+    assert f"{flag} must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "mini_simulate.csv").exists()
+
+
+@pytest.mark.parametrize("name, value", [("TRIALS", "0"), ("SEED", "-3")])
+def test_trials_and_seed_env_out_of_range_exit_2(tmp_path, monkeypatch, capsys, name, value):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(MINIMAL_SIM)
+    monkeypatch.setenv(f"ICALIGN_{name}", value)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"ICALIGN_{name} must be >= " in capsys.readouterr().err
+
+
+def test_config_out_of_range_integer_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(MINIMAL_SIM.replace("K = 3", "K = 1"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "K must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--P", "15", "--a2", "-4"], "--a2 must be finite and >= 0"),
+    (["--P", "15", "--a2", "nan"], "--a2 must be finite and >= 0"),
+    (["--P", "nan", "--a2", "4"], "--P must be finite and > 0"),
+    (["--P", "inf", "--a2", "4"], "--P must be finite and > 0"),
+    (["--P", "0", "--a2", "4"], "--P must be finite and > 0"),
+    (["--P", "15", "--a2", "4", "--K", "1"], "--K must be >= 2"),
+    (["--sweep", "1", "3", "3", "--K", "1"], "--K must be >= 2"),
+])
+def test_regime_flags_out_of_range_exit_2(capsys, argv, message):
+    assert main(["regime", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--K", "1", "--nd", "1", "--nc", "2"], "--K must be >= 2"),
+    (["--K", "3", "--nd", "0", "--nc", "2"], "--nd must be >= 1"),
+    (["--K", "3", "--nd", "1", "--nc", "-1"], "--nc must be >= 0"),
+])
+def test_det_flags_out_of_range_exit_2(capsys, argv, message):
+    assert main(["det", *argv]) == 2
+    assert message in capsys.readouterr().err

@@ -17,6 +17,7 @@ from icalign.lattice_geometry import (
 from icalign.zp_codes import (
     CodeEnsemble,
     ConstructionALattice,
+    EnumerationTooLarge,
     LinearCode,
     enumerate_codewords,
     fundamental_volume,
@@ -223,6 +224,63 @@ def test_codebook_members_satisfy_invariants():
             assert (x**2).sum() <= n * P + 1e-9  # power constraint
             assert shell.contains(x)
             assert is_lattice_point(lat, x - s)
+
+
+def box_scan_codebook(lat, s, shell):
+    """Reference enumeration: scan every coset's whole integer box around
+    the outer ball, keep the exact shell members, sort lexicographically."""
+    cosets = enumerate_codewords(lat.code)
+    g, p, n = lat.gamma, lat.p, lat.n
+    r_out = shell.outer_radius
+    lo_b = (-r_out - s) / (g * p)
+    hi_b = (r_out - s) / (g * p)
+    chunks = [np.zeros((0, n))]
+    for c in cosets:
+        lo = np.ceil(lo_b - c / p - 1e-9).astype(np.int64)
+        hi = np.floor(hi_b - c / p + 1e-9).astype(np.int64)
+        if np.any(hi < lo):
+            continue
+        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
+        Z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        X = g * (c + p * Z) + s
+        r2 = (X**2).sum(axis=1)
+        chunks.append(X[(r2 >= n * shell.P_prime) & (r2 <= n * shell.P)])
+    pts = np.vstack(chunks)
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+def test_codebook_equals_box_scan_byte_for_byte():
+    # random small lattices, shells with and without P', a third of the
+    # shifts on the half-grid (points exactly on a sphere), some empty shells
+    rng = np.random.default_rng(2002)
+    sizes = []
+    for trial in range(300):
+        lat = random_lattice(rng, p_choices=(2, 3, 5, 7), n_max=5)
+        n, g, p = lat.n, lat.gamma, lat.p
+        P = float(rng.choice([0.02, rng.uniform(0.2, 3.0)], p=[0.1, 0.9]))
+        if trial % 3 == 0:  # half-grid shift, outer sphere through a lattice point
+            s = g * rng.integers(0, 2 * p, size=n) / 2.0
+            words = enumerate_codewords(lat.code)
+            x = g * (words[rng.integers(len(words))] + p * rng.integers(-1, 2, size=n)) + s
+            P = float((x**2).sum()) / n or P
+        else:
+            s = rng.uniform(0, g * p, size=n)
+        shell = ShapingShell(n=n, P=P, P_prime=float(rng.choice([0.0, P * rng.uniform(0.1, 0.9)])))
+        ref = box_scan_codebook(lat, s, shell)
+        got = build_codebook(lat, s, shell, R=0.1).codewords
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+        sizes.append(len(ref))
+    assert min(sizes) == 0 and max(sizes) > 100  # empty and populous shells both covered
+
+
+def test_codebook_enum_cap_counts_rows():
+    lat = integer_lattice(3, p=2)
+    shell = ShapingShell(n=3, P=2.0, P_prime=0.0)
+    full = build_codebook(lat, [0.1, 0.2, 0.3], shell, R=0.1)
+    assert len(full) > 0
+    with pytest.raises(EnumerationTooLarge, match="passed 3 candidate rows"):
+        build_codebook(lat, [0.1, 0.2, 0.3], shell, R=0.1, enum_cap=3)
 
 
 def test_codebook_flags_rate_chain_violation():
