@@ -8,7 +8,6 @@ and the experiment harness / CLI (cli_harness).
 
 from .det_channel import (
     DetChannelConfig,
-    DetSignal,
     RegimeViolation,
     det_capacity_check,
     det_decode,
@@ -30,11 +29,9 @@ from .gaussian_sim import (
 )
 from .lattice_geometry import (
     Codebook,
-    DecodeCostExceeded,
     ShapingShell,
     build_codebook,
     codebook_csv,
-    codebook_to_csv,
     find_shift,
     message_codebook,
     nearest_codeword,

@@ -54,8 +54,9 @@ REQUIRED_KEYS = {
     "lattice": ("n", "P", "R"),
 }
 
-# integer keys and their least value (p must also be prime); threads is a flag only
-_INT_KEYS = {"seed": 0, "trials": 1, "threads": 1, "K": 2, "n": 1, "p": 2,
+# integer keys and their least value (p must also be prime); threads and steps
+# are flags only
+_INT_KEYS = {"seed": 0, "trials": 1, "threads": 1, "steps": 1, "K": 2, "n": 1, "p": 2,
              "shift_trials": 1, "n_d": 1, "n_c": 0}
 _FLOAT_KEYS = {"P", "a2", "Pprime", "R", "R_frac", "Rprime"}
 _POSITIVE_KEYS = {"P", "Rprime"}  # the other float keys may be 0
@@ -232,7 +233,8 @@ def _codebook_key(params: dict, seed: int) -> _CodebookKey:
         # over a2 share one lattice
         rp = (R + c1) / 2.0
         if rp <= R:
-            rp = R + 0.05
+            raise ConfigError(f"Rprime = auto needs R < 0.5*log2(1+P) = {c1!r}, "
+                              f"got R = {R!r} at P = {P!r}")
     return _CodebookKey(params["n"], P, params.get("Pprime", P / 4.0), params.get("p", 5),
                         R, rp, params.get("shift_trials", 64), seed)
 
@@ -274,10 +276,7 @@ def _simulate_point(params: dict, key: _CodebookKey, spec: ExperimentSpec,
 def _regime_point(params: dict) -> dict:
     rep = regime.classify(params["K"], params["P"], math.sqrt(params["a2"]))
     return {
-        "K": params["K"], "P": params["P"], "a2": params["a2"],
-        "two_user": rep.thresholds["two_user"],
-        "joint_decode": rep.thresholds["joint_decode"],
-        "alignment": rep.thresholds["alignment"],
+        "K": params["K"], "P": params["P"], "a2": params["a2"], **rep.thresholds,
         "capacity": regime.interference_free_capacity(params["P"]),
         "theorem2_rate": regime.theorem2_rate(params["P"]),
         "label": rep.label, "rate": rep.rate,
@@ -337,7 +336,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     """Execute the grid; write CSV (+ summary JSON) atomically in grid order.
 
     Returns (rows, written_paths).  Failures raise ExperimentError naming
-    the grid point.
+    the grid point; a ConfigError (Rprime = auto with no midpoint) names it too.
     """
     points = grid_points(spec)
     if not points:
@@ -350,10 +349,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
         try:
             return fn(*args)
         except Exception as exc:
-            raise ExperimentError(f"grid point {idx} {points[idx]}: {exc}") from exc
+            cls = ConfigError if isinstance(exc, ConfigError) else ExperimentError
+            raise cls(f"grid point {idx} {points[idx]}: {exc}") from exc
 
     # codebooks are built serially so shift search is independent of thread schedule
-    keys = [_codebook_key(params, spec.seed) for params in points
+    keys = [at_point(idx, _codebook_key, params, spec.seed) for idx, params in enumerate(points)
             if spec.subcommand in ("simulate", "lattice")]
     codebooks = {}
     for idx, key in enumerate(keys):
@@ -407,42 +407,6 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     for path, text in outputs.items():
         _atomic_write(path, text)
     return rows, list(outputs)
-
-
-def emit_plot_data(rows: list[dict], x_column: str, y_columns, group_by: str | None = None) -> str:
-    """Two-column plot blocks, one per y column (and per group value).
-
-    Output is plain text: a caption comment, then `# group:` labelled
-    blocks of `x y` pairs separated by blank lines.
-    """
-    if not rows:
-        raise ValueError("no rows to plot")
-    if isinstance(y_columns, str):
-        y_columns = [y_columns]
-    for col in [x_column, *y_columns] + ([group_by] if group_by else []):
-        if col not in rows[0]:
-            raise ValueError(f"missing column {col!r}")
-    caption = f"{','.join(y_columns)} vs {x_column}"
-    if group_by:
-        caption += f" grouped by {group_by}"
-    caption += f" ({len(rows)} rows)"
-    out = [f"# caption: {caption}"]
-    if group_by:
-        groups = []
-        for row in rows:
-            if row[group_by] not in groups:
-                groups.append(row[group_by])
-        parts = [(f"{y}/{g}" if len(y_columns) > 1 else str(g),
-                  [r for r in rows if r[group_by] == g], y)
-                 for y in y_columns for g in groups]
-    else:
-        parts = [(y, rows, y) for y in y_columns]
-    for label, part_rows, y in parts:
-        out.append(f"# group: {label}")
-        for row in part_rows:
-            out.append(f"{_fmt(row[x_column])} {_fmt(row[y])}")
-        out.append("")
-    return "\n".join(out) + "\n"
 
 
 def regime_sweep_rows(K: int, P_min: float, P_max: float, steps: int) -> list[dict]:
@@ -553,9 +517,14 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "regime" and args.sweep:
-        p_min, p_max = float(args.sweep[0]), float(args.sweep[1])
-        rows = regime_sweep_rows(_checked_flag("--K", "K", args.K), p_min, p_max,
-                                 int(args.sweep[2]))
+        try:
+            p_min, p_max, steps = float(args.sweep[0]), float(args.sweep[1]), int(args.sweep[2])
+        except ValueError:
+            raise ConfigError(f"cannot parse --sweep {' '.join(args.sweep)}") from None
+        rows = regime_sweep_rows(_checked_flag("--K", "K", args.K),
+                                 _checked_flag("--sweep P_MIN", "P", p_min),
+                                 _checked_flag("--sweep P_MAX", "P", p_max),
+                                 _checked_flag("--sweep STEPS", "steps", steps))
         text = _csv_text(SWEEP_CSV_COLUMNS, rows)
         out = args.out or _env_default("OUT", str, None)
         if out:

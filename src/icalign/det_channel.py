@@ -52,21 +52,6 @@ class DetChannelConfig:
         return self.n_c / self.n_d
 
 
-@dataclass(frozen=True)
-class DetSignal:
-    """One channel use: per-user inputs (K x n_d) and per-receiver outputs (K x q)."""
-
-    inputs: np.ndarray
-    outputs: np.ndarray
-
-    def __post_init__(self):
-        for name in ("inputs", "outputs"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            if np.any((arr != 0) & (arr != 1)):
-                raise ValueError(f"{name} must be 0/1 bits")
-            object.__setattr__(self, name, arr)
-
-
 def _validate_inputs(cfg: DetChannelConfig, inputs) -> np.ndarray:
     arr = np.asarray(inputs, dtype=np.int64)
     if arr.shape != (cfg.K, cfg.n_d):
@@ -122,17 +107,19 @@ def _all_input_bits(cfg: DetChannelConfig) -> np.ndarray:
     return bits.reshape(-1, cfg.K, cfg.n_d)
 
 
-def det_capacity_check(cfg: DetChannelConfig, cap_bits: int = EXHAUSTION_CAP_BITS) -> bool:
+def det_capacity_check(cfg: DetChannelConfig) -> bool:
     """True iff every receiver recovers its own n_d bits with zero error.
 
     Exhaustive over all 2^(K*n_d) input tuples: receiver j is zero-error
     iff no two tuples with different own bits collide on y_j (no decoder,
     however clever, can beat that).  When the level bands are disjoint,
     the own-bit band of every output is also checked against the inputs.
+    Raises EnumerationTooLarge when K*n_d passes EXHAUSTION_CAP_BITS.
     """
     total_bits = cfg.K * cfg.n_d
-    if total_bits > cap_bits:
-        raise EnumerationTooLarge(f"K*n_d = {total_bits} bits exceeds cap {cap_bits}")
+    if total_bits > EXHAUSTION_CAP_BITS:
+        raise EnumerationTooLarge(
+            f"K*n_d = {total_bits} bits exceeds cap {EXHAUSTION_CAP_BITS}")
     bits = _all_input_bits(cfg)
     n_d = cfg.n_d
     level_weights = 1 << np.arange(cfg.q, dtype=np.int64)

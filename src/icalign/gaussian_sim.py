@@ -147,7 +147,7 @@ def _receive(
         t_hat = decode_interference_sum(cb.lattice, a, cb.shift, K, y, codewords=codewords)
         residual = y - (K - 1) * a * cb.shift - t_hat
     if mode == "lattice_only":
-        m_hat = lattice_only_decode(cb.lattice, cb.shift, cb, residual, codewords=codewords)
+        m_hat = lattice_only_decode(cb, residual, codewords=codewords)
     else:
         m_hat, _ = nearest_codeword(cb, residual)
     intf_err = None
@@ -168,22 +168,16 @@ def _receive(
     )
 
 
-def lattice_only_decode(
-    lat: ConstructionALattice,
-    shift,
-    cb: Codebook,
-    y,
-    codewords: np.ndarray | None = None,
-) -> int | None:
+def lattice_only_decode(cb: Codebook, y, codewords: np.ndarray | None = None) -> int | None:
     """Stage-2 replacement: unconstrained lattice decode of the residual.
 
-    Decodes Lambda against (y - s), maps the point + s back to a codebook
-    index; returns None when the decoded point falls outside the codebook
-    (counted as a message error by callers).
+    Decodes the codebook's lattice against (y - s), maps the point + s back
+    to a codebook index; returns None when the decoded point falls outside
+    the codebook (counted as a message error by callers).
     """
-    s = np.asarray(shift, dtype=float)
-    lam = nearest_lattice_point(lat, np.asarray(y, dtype=float) - s, codewords=codewords)
-    return cb.index_of(lam + s)
+    lam = nearest_lattice_point(cb.lattice, np.asarray(y, dtype=float) - cb.shift,
+                                codewords=codewords)
+    return cb.index_of(lam + cb.shift)
 
 
 def loeliger_error_bound(

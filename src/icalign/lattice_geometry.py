@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .zp_codes import (
-    ENUMERATION_CAP,
     ConstructionALattice,
     EnumerationTooLarge,
     enumerate_codewords,
@@ -27,11 +26,10 @@ from .zp_codes import (
 # Cap on candidate prefix rows materialised while enumerating one codebook.
 CODEBOOK_ENUM_CAP = 1 << 24
 
+# Decimals a point is rounded to when Codebook.index_of looks it up.
+INDEX_DECIMALS = 9
+
 SHIFT_STREAM = 1
-
-
-class DecodeCostExceeded(ValueError):
-    """p^k exceeds the per-query decoding cost cap."""
 
 
 def shell_volume(n: int, P: float, P_prime: float = 0.0) -> float:
@@ -95,7 +93,6 @@ def nearest_lattice_point(
     target,
     scale: float = 1.0,
     codewords: np.ndarray | None = None,
-    cost_cap: int = ENUMERATION_CAP,
 ) -> np.ndarray:
     """Exact closest point of scale * gamma * Lambda_C to `target`.
 
@@ -103,7 +100,8 @@ def nearest_lattice_point(
     scale*gamma*(c + p*round((target/(scale*gamma) - c)/p)) componentwise;
     the global argmin over cosets is exact.  Ties break to the
     lexicographically smallest point.  `codewords` may carry a precomputed
-    enumeration to amortize repeated decodes against one lattice.
+    enumeration to amortize repeated decodes against one lattice; without
+    it, enumerate_codewords raises EnumerationTooLarge past ENUMERATION_CAP.
     """
     if scale == 0:
         raise ValueError("scale must be nonzero")
@@ -111,9 +109,7 @@ def nearest_lattice_point(
     if t.shape != (lat.n,):
         raise ValueError(f"target length {t.shape} != n={lat.n}")
     if codewords is None:
-        if lat.p**lat.k > cost_cap:
-            raise DecodeCostExceeded(f"p^k = {lat.p**lat.k} exceeds cap {cost_cap}")
-        codewords = enumerate_codewords(lat.code, cap=cost_cap)
+        codewords = enumerate_codewords(lat.code)
     cell = abs(scale) * lat.gamma
     Z = _round_half_down((t / cell - codewords) / lat.p)
     cand = cell * (codewords + lat.p * Z)
@@ -168,16 +164,16 @@ class Codebook:
         """Messages actually usable: min(|C|, ceil(2^(nR)))."""
         return min(len(self.codewords), required_size(self.lattice.n, self.R))
 
-    def index_of(self, x, decimals: int = 9) -> int | None:
+    def index_of(self, x) -> int | None:
         """Index of codeword equal to x (within rounding), else None."""
         table = getattr(self, "_index_table", None)
         if table is None:
             table = {
-                tuple(np.round(row, decimals)): i
+                tuple(np.round(row, INDEX_DECIMALS)): i
                 for i, row in enumerate(self.codewords)
             }
             object.__setattr__(self, "_index_table", table)
-        return table.get(tuple(np.round(np.asarray(x, dtype=float), decimals)))
+        return table.get(tuple(np.round(np.asarray(x, dtype=float), INDEX_DECIMALS)))
 
 
 def build_codebook(
@@ -185,7 +181,6 @@ def build_codebook(
     shift,
     shell: ShapingShell,
     R: float,
-    enum_cap: int = CODEBOOK_ENUM_CAP,
 ) -> Codebook:
     """Enumerate (gamma*Lambda_C + shift) inside the shell, exactly.
 
@@ -193,7 +188,7 @@ def build_codebook(
     at a time through each coset's box around the outer ball and are dropped
     once their partial power passes nP; the full power alone decides shell
     membership.  Points come out sorted lexicographically.  Raises
-    EnumerationTooLarge when the prefix rows materialised pass enum_cap.
+    EnumerationTooLarge when the prefix rows materialised pass CODEBOOK_ENUM_CAP.
     """
     s = np.asarray(shift, dtype=float)
     if s.shape != (lat.n,) or shell.n != lat.n:
@@ -211,8 +206,9 @@ def build_codebook(
     for j in range(n):
         counts = hi[coset, j] - lo[coset, j] + 1
         made += int(counts.sum())
-        if made > enum_cap:
-            raise EnumerationTooLarge(f"codebook enumeration passed {enum_cap} candidate rows")
+        if made > CODEBOOK_ENUM_CAP:
+            raise EnumerationTooLarge(
+                f"codebook enumeration passed {CODEBOOK_ENUM_CAP} candidate rows")
         parent = np.repeat(np.arange(len(coset)), counts)
         # rows stay sorted by (coset, z_0, .., z_j); the stable sort below keeps that on ties
         zj = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - lo[coset, j], counts)
@@ -295,9 +291,3 @@ def codebook_csv(cb: Codebook) -> str:
     for i, row in enumerate(cb.codewords):
         writer.writerow([i] + [repr(float(v)) for v in row])
     return buf.getvalue()
-
-
-def codebook_to_csv(cb: Codebook, path) -> None:
-    """Write codebook_csv(cb) to `path`."""
-    with open(path, "w", newline="") as fh:
-        fh.write(codebook_csv(cb))

@@ -114,13 +114,12 @@ def classify(K: int, P: float, a: float) -> RegimeReport:
         "two_user": two_user_threshold(P),
         "joint_decode": joint_decode_threshold(K, P),
         "alignment": alignment_threshold(P),
-        "theorem2": two_user_threshold(P),
     }
     joint_met = a2 >= thresholds["joint_decode"]
     if a2 >= thresholds["alignment"]:
         label = LABEL_ALIGNMENT
         rate = interference_free_capacity(P)
-    elif a2 >= thresholds["theorem2"]:
+    elif a2 >= thresholds["two_user"]:
         label = LABEL_THEOREM2
         rate = interference_free_capacity(P) if joint_met else max(0.0, theorem2_rate(P))
     else:

@@ -26,7 +26,7 @@ CODE_STREAM = 0
 
 
 class EnumerationTooLarge(ValueError):
-    """Requested enumeration exceeds the configured cap."""
+    """An enumeration or decode would pass its cap constant."""
 
 
 def is_prime(m: int) -> bool:
@@ -161,15 +161,15 @@ class CodeEnsemble:
             raise ValueError("seed must be nonnegative")
 
 
-def enumerate_codewords(code: LinearCode, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def enumerate_codewords(code: LinearCode) -> np.ndarray:
     """All p^k codewords as a (p^k, n) int array.
 
     Zero vector first; rows ordered lexicographically by message vector.
-    Raises EnumerationTooLarge when p^k exceeds the cap.
+    Raises EnumerationTooLarge when p^k exceeds ENUMERATION_CAP.
     """
     count = code.p**code.k
-    if count > cap:
-        raise EnumerationTooLarge(f"p^k = {count} exceeds cap {cap}")
+    if count > ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"p^k = {count} exceeds cap {ENUMERATION_CAP}")
     if code.k == 0:
         return np.zeros((1, code.n), dtype=np.int64)
     msgs = np.array(
@@ -178,14 +178,12 @@ def enumerate_codewords(code: LinearCode, cap: int = ENUMERATION_CAP) -> np.ndar
     return (msgs @ code.G) % code.p
 
 
-def is_lattice_point(
-    lat: ConstructionALattice, v, scale: float = 1.0, tol: float = INTEGRALITY_TOL
-) -> bool:
+def is_lattice_point(lat: ConstructionALattice, v, scale: float = 1.0) -> bool:
     """True iff v belongs to scale * gamma * Lambda_C.
 
-    v / (scale*gamma) must be integral componentwise (within tol) and its
-    mod-p reduction must be a codeword.  The lattice is symmetric, so a
-    negative scale describes the same point set.
+    v / (scale*gamma) must be integral componentwise (within
+    INTEGRALITY_TOL) and its mod-p reduction must be a codeword.  The
+    lattice is symmetric, so a negative scale describes the same point set.
     """
     if scale == 0:
         raise ValueError("scale must be nonzero")
@@ -194,7 +192,7 @@ def is_lattice_point(
         raise ValueError(f"vector length {v.shape} != n={lat.n}")
     u = v / (abs(scale) * lat.gamma)
     w = np.rint(u)
-    if np.max(np.abs(u - w), initial=0.0) > tol:
+    if np.max(np.abs(u - w), initial=0.0) > INTEGRALITY_TOL:
         return False
     return lat.code.contains(w.astype(np.int64) % lat.p)
 
@@ -223,13 +221,12 @@ def design_lattice(
     V_S: float,
     p: int = 5,
     seed: int = 0,
-    cost_cap: int = ENUMERATION_CAP,
 ) -> ConstructionALattice:
     """Construct a lattice whose fundamental volume is 2^(-n R') * V_S.
 
     k is the integer nearest to n - log_p(V_target), clamped to [0, n] and
-    to p^k <= cost_cap (decode cost is p^k per nearest-point query); gamma
-    absorbs all rounding so the volume identity holds to float precision.
+    to p^k <= ENUMERATION_CAP (decode cost is p^k per nearest-point query);
+    gamma absorbs all rounding so the volume identity holds to float precision.
     """
     if V_S <= 0:
         raise ValueError("V_S must be positive")
@@ -238,7 +235,7 @@ def design_lattice(
     V_target = 2.0 ** (-n * R_prime) * V_S
     k_ideal = n - math.log(V_target) / math.log(p)
     k = min(max(round(k_ideal), 0), n)
-    while k > 0 and p**k > cost_cap:
+    while k > 0 and p**k > ENUMERATION_CAP:
         k -= 1
     gamma = (V_target / p ** (n - k)) ** (1.0 / n)
     code = sample_code(CodeEnsemble(p=p, n=n, k=k, samples=1, seed=seed), 0)

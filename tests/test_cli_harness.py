@@ -9,7 +9,6 @@ from icalign.cli_harness import (
     CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
     ConfigError,
-    emit_plot_data,
     grid_points,
     main,
     parse_config,
@@ -207,16 +206,7 @@ def test_experiment_error_names_grid_point(tmp_path):
         run_experiment(spec)
 
 
-# ------------------------------------------------------------ emit_plot_data
-
-
-def test_plot_data_threshold_blocks():
-    rows = regime_sweep_rows(3, 1.0, 100.0, 100)
-    text = emit_plot_data(rows, "P", ["two_user", "joint_decode_K", "alignment", "capacity"])
-    blocks = [b for b in text.split("# group: ") if b and not b.startswith("# caption")]
-    assert len(blocks) == 4
-    assert text.startswith("# caption: ")
-    assert "two_user" in text and "alignment" in text
+# --------------------------------------------------------- regime_sweep_rows
 
 
 def test_plot_data_alignment_below_joint_decode():
@@ -227,19 +217,6 @@ def test_plot_data_alignment_below_joint_decode():
         assert row["alignment"] < row["joint_decode_K"]
     edge = regime_sweep_rows(3, 1.0, 1.0, 1)[0]
     assert edge["alignment"] > edge["joint_decode_K"]  # the known P=1 exception
-
-
-def test_plot_data_group_by_column():
-    rows = [{"x": i, "y": i * i, "g": i % 2} for i in range(6)]
-    text = emit_plot_data(rows, "x", "y", group_by="g")
-    assert text.count("# group: ") == 2
-
-
-def test_plot_data_errors():
-    with pytest.raises(ValueError, match="no rows"):
-        emit_plot_data([], "x", "y")
-    with pytest.raises(ValueError, match="missing column"):
-        emit_plot_data([{"x": 1}], "x", "y")
 
 
 # --------------------------------------------------------------------- CLI
@@ -351,7 +328,7 @@ def test_parse_accepts_zero_a2_pprime_and_auto_rprime():
 
 def test_lattice_codebook_csv_written_atomically(tmp_path, monkeypatch):
     from icalign import cli_harness
-    from icalign.lattice_geometry import codebook_to_csv
+    from icalign.lattice_geometry import codebook_csv
 
     built = []
     find_shift = cli_harness.find_shift
@@ -372,10 +349,8 @@ def test_lattice_codebook_csv_written_atomically(tmp_path, monkeypatch):
     )
     _, written = run_experiment(spec)
     assert len(built) == 1
-    ref = tmp_path / "ref.csv"
-    codebook_to_csv(built[0], ref)
     data = (out / "lat_codebook.csv").read_bytes()
-    assert data == ref.read_bytes()
+    assert data == codebook_csv(built[0]).encode()
     assert b"\r\n" in data
     assert str(out / "lat_codebook.csv") in written
     assert str(out / "lat_codebook.csv") in renamed  # temp file + rename
@@ -471,3 +446,37 @@ def test_regime_flags_out_of_range_exit_2(capsys, argv, message):
 def test_det_flags_out_of_range_exit_2(capsys, argv, message):
     assert main(["det", *argv]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep, message", [
+    (["nan", "3", "3"], "--sweep P_MIN must be finite and > 0"),
+    (["-1", "3", "3"], "--sweep P_MIN must be finite and > 0"),
+    (["1", "inf", "2"], "--sweep P_MAX must be finite and > 0"),
+    (["1", "3", "0"], "--sweep STEPS must be >= 1"),
+    (["1", "x", "3"], "cannot parse --sweep 1 x 3"),
+    (["1", "3", "2.5"], "cannot parse --sweep 1 3 2.5"),
+])
+def test_regime_sweep_out_of_range_exits_2(tmp_path, capsys, sweep, message):
+    assert main(["regime", "--sweep", *sweep, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("keys, point, P, R", [
+    ({"R_frac": "1.0"}, 0, "1.0", "0.5"),  # R = capacity
+    ({"R_frac": None, "R": "0.6", "P": "3, 1"}, 1, "1.0", "0.6"),  # above it at P = 1 only
+])
+def test_auto_rprime_without_midpoint_exits_2(tmp_path, capsys, keys, point, P, R):
+    lines = [ln for ln in MINIMAL_SIM.strip().splitlines() if ln.split(" =")[0] not in keys]
+    lines += [f"{k} = {v}" for k, v in keys.items() if v is not None]
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"grid point {point} " in err
+    assert "Rprime = auto needs R < 0.5*log2(1+P)" in err
+    assert f"got R = {R} at P = {P}" in err
+    assert not out.exists()

@@ -100,8 +100,9 @@ def test_capacity_check_examples():
 
 
 def test_capacity_check_cap():
-    with pytest.raises(EnumerationTooLarge):
-        det_capacity_check(DetChannelConfig(K=5, n_d=3, n_c=6), cap_bits=10)
+    # 25 input bits, one past EXHAUSTION_CAP_BITS = 24
+    with pytest.raises(EnumerationTooLarge, match="25 bits exceeds cap 24"):
+        det_capacity_check(DetChannelConfig(K=5, n_d=5, n_c=10))
 
 
 def test_capacity_iff_ratio_two_or_no_interference():
@@ -148,18 +149,6 @@ def test_level_diagram_lists_all_receivers():
     text = level_diagram(cfg)
     assert "receiver 1" in text and "receiver 3" in text
     assert "X2[0] ^ X3[0]" in text
-
-
-def test_det_signal_record():
-    from icalign.det_channel import DetSignal
-
-    cfg = DetChannelConfig(K=3, n_d=1, n_c=2)
-    x = np.array([[1], [0], [1]])
-    sig = DetSignal(inputs=x, outputs=det_output(cfg, x))
-    assert sig.inputs.shape == (3, 1)
-    assert sig.outputs.shape == (3, cfg.q)
-    with pytest.raises(ValueError):
-        DetSignal(inputs=np.array([[2]]), outputs=np.zeros((1, 1)))
 
 
 def test_config_validation():

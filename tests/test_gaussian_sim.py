@@ -174,17 +174,17 @@ def test_two_stage_effective_noise_field():
 
 
 def test_lattice_only_noiseless_exact():
-    lat, cb = tiny_system()
+    _, cb = tiny_system()
     for m in range(len(cb)):
-        idx = lattice_only_decode(lat, cb.shift, cb, cb.codewords[m])
+        idx = lattice_only_decode(cb, cb.codewords[m])
         assert idx == m
 
 
 def test_lattice_only_out_of_codebook_returns_none():
-    lat, cb = tiny_system()
+    _, cb = tiny_system()
     # a faraway lattice point + shift is decodable but not a codeword
     y = cb.shift + np.array([20.0, 20.0])
-    assert lattice_only_decode(lat, cb.shift, cb, y) is None
+    assert lattice_only_decode(cb, y) is None
 
 
 def test_lattice_only_never_beats_two_stage_paired():
@@ -324,7 +324,7 @@ def test_monte_carlo_agrees_with_public_decoders(mode):
                 t_hat = decode_interference_sum(lat, a, mcb.shift, K, Y[j])
                 intf_err = not np.allclose(t_hat, true_t, rtol=0, atol=1e-9)
                 residual = Y[j] - (K - 1) * a * mcb.shift - t_hat
-                m_hat = lattice_only_decode(lat, mcb.shift, mcb, residual)
+                m_hat = lattice_only_decode(mcb, residual)
             else:
                 m_hat, _ = nearest_codeword(mcb, Y[j])
                 intf_err = False

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from icalign.lattice_geometry import (
-    DecodeCostExceeded,
+    CODEBOOK_ENUM_CAP,
     ShapingShell,
     build_codebook,
-    codebook_to_csv,
+    codebook_csv,
     find_shift,
     nearest_codeword,
     nearest_lattice_point,
@@ -153,9 +153,9 @@ def test_cvp_scale_consistency():
 
 
 def test_cvp_cost_cap():
-    lat = integer_lattice(8, p=2)  # p^k = 256
-    with pytest.raises(DecodeCostExceeded):
-        nearest_lattice_point(lat, np.zeros(8), cost_cap=100)
+    lat = integer_lattice(21, p=2)  # p^k = 2^21 > ENUMERATION_CAP
+    with pytest.raises(EnumerationTooLarge):
+        nearest_lattice_point(lat, np.zeros(21))
 
 
 def test_cvp_tie_breaks_lexicographically():
@@ -275,12 +275,12 @@ def test_codebook_equals_box_scan_byte_for_byte():
 
 
 def test_codebook_enum_cap_counts_rows():
-    lat = integer_lattice(3, p=2)
-    shell = ShapingShell(n=3, P=2.0, P_prime=0.0)
-    full = build_codebook(lat, [0.1, 0.2, 0.3], shell, R=0.1)
-    assert len(full) > 0
-    with pytest.raises(EnumerationTooLarge, match="passed 3 candidate rows"):
-        build_codebook(lat, [0.1, 0.2, 0.3], shell, R=0.1, enum_cap=3)
+    # two cosets of ~10^7 candidate rows each; the cap trips before any is made
+    lat = integer_lattice(1, p=2, gamma=1e-7)
+    shell = ShapingShell(n=1, P=1.0, P_prime=0.0)
+    assert CODEBOOK_ENUM_CAP == 16777216
+    with pytest.raises(EnumerationTooLarge, match="passed 16777216 candidate rows"):
+        build_codebook(lat, [0.0], shell, R=0.1)
 
 
 def test_codebook_flags_rate_chain_violation():
@@ -382,13 +382,11 @@ def test_nearest_codeword_empty_raises():
 # ---------------------------------------------------------------- csv export
 
 
-def test_codebook_csv(tmp_path):
+def test_codebook_csv():
     lat = repetition_lattice()
     shell = ShapingShell(n=2, P=2.0, P_prime=0.0)
     cb = build_codebook(lat, [0.5, 0.5], shell, R=1.0)
-    path = tmp_path / "cb.csv"
-    codebook_to_csv(cb, path)
-    lines = path.read_text().strip().splitlines()
+    lines = codebook_csv(cb).strip().splitlines()
     assert lines[0] == "index,x0,x1"
     assert len(lines) == 1 + len(cb)
     assert lines[1].split(",")[0] == "0"

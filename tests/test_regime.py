@@ -156,7 +156,6 @@ def test_classify_thresholds_dict():
     assert rep.thresholds["two_user"] == 16.0
     assert rep.thresholds["joint_decode"] == 136.0
     assert rep.thresholds["alignment"] == pytest.approx(256.0 / 15.0)
-    assert rep.thresholds["theorem2"] == 16.0
 
 
 def test_format_report_mentions_label():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from icalign.zp_codes import (
+    ENUMERATION_CAP,
     CodeEnsemble,
     ConstructionALattice,
     EnumerationTooLarge,
@@ -69,9 +70,9 @@ def test_enumerate_full_code_is_whole_space():
 
 
 def test_enumerate_cap():
-    code = LinearCode(p=2, n=8, k=8, G=np.eye(8, dtype=int))
-    with pytest.raises(EnumerationTooLarge):
-        enumerate_codewords(code, cap=100)
+    code = LinearCode(p=2, n=21, k=21, G=np.eye(21, dtype=int))  # 2^21 > ENUMERATION_CAP
+    with pytest.raises(EnumerationTooLarge, match=f"exceeds cap {ENUMERATION_CAP}"):
+        enumerate_codewords(code)
 
 
 # --------------------------------------------------------- is_lattice_point
@@ -197,8 +198,10 @@ def test_design_lattice_round_trip_randomized():
 
 
 def test_design_lattice_respects_cost_cap():
-    lat = design_lattice(n=10, R_prime=2.0, V_S=1.0, p=5, cost_cap=5**3)
-    assert lat.p**lat.k <= 5**3
+    # the volume asks for k = 10; the cap leaves the largest k with 5^k <= 2^20
+    lat = design_lattice(n=10, R_prime=2.0, V_S=1.0, p=5)
+    assert lat.k == 8
+    assert 5**8 <= ENUMERATION_CAP < 5**9
 
 
 # ------------------------------------------------------ closure / coset sets
