@@ -1,15 +1,14 @@
 """Experiment orchestration: flat key-value configs, seeded sweeps, CSV output.
 
 A config describes one experiment: a target subcommand plus a parameter
-grid.  Grid points run in a fixed lexicographic order (optionally on a
-thread pool; rows are buffered and written in grid order), so a spec maps
-to byte-identical output files at any parallelism.
+grid.  Grid points run serially in a fixed lexicographic order and rows
+are written in grid order, so a spec maps to byte-identical output files
+whatever `--threads` says.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
@@ -335,6 +334,7 @@ def _fmt(v):
 def run_experiment(spec: ExperimentSpec, threads: int = 1):
     """Execute the grid; write CSV (+ summary JSON) atomically in grid order.
 
+    Grid points run serially; `threads` is accepted but changes nothing.
     Returns (rows, written_paths).  Failures raise ExperimentError naming
     the grid point; a ConfigError (Rprime = auto with no midpoint) names it too.
     """
@@ -352,7 +352,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
             cls = ConfigError if isinstance(exc, ConfigError) else ExperimentError
             raise cls(f"grid point {idx} {points[idx]}: {exc}") from exc
 
-    # codebooks are built serially so shift search is independent of thread schedule
+    # each distinct codebook is built once, before any grid point runs
     keys = [at_point(idx, _codebook_key, params, spec.seed) for idx, params in enumerate(points)
             if spec.subcommand in ("simulate", "lattice")]
     codebooks = {}
@@ -372,14 +372,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
         row, reports[idx] = _simulate_point(params, key, spec, codebooks[key])
         return row
 
-    def run_point(idx: int) -> dict:
-        return at_point(idx, point_row, idx)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_point, range(len(points))))
-    else:
-        rows = [run_point(i) for i in range(len(points))]
+    rows = [at_point(idx, point_row, idx) for idx in range(len(points))]
 
     # every output, in write order; all go through _atomic_write below
     outputs = {base + ".csv": _csv_text(CSV_COLUMNS[spec.subcommand], rows)}

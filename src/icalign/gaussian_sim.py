@@ -152,7 +152,7 @@ def _receive(
         m_hat, _ = nearest_codeword(cb, residual)
     intf_err = None
     if true_interference is not None:
-        intf_err = not np.allclose(t_hat, true_interference, rtol=0, atol=POINT_MATCH_TOL)
+        intf_err = not (np.abs(t_hat - true_interference) <= POINT_MATCH_TOL).all()
     msg_err = None if true_message is None else (m_hat != true_message)
     eff = None
     if true_signal_plus_noise is not None:
@@ -298,8 +298,8 @@ def run_monte_carlo(
     lat = cb.lattice
     if config.n != lat.n:
         raise ValueError(f"config n={config.n} != lattice n={lat.n}")
-    if config.P != cb.shell.P:
-        raise ValueError(f"config P={config.P} != shell P={cb.shell.P}")
+    if not math.isclose(config.P, cb.shell.P, rel_tol=1e-12):
+        raise ValueError(f"config P={config.P!r} != shell P={cb.shell.P!r}")
     if mode == "no_interference" and config.a != 0:
         raise ValueError("no_interference mode requires a = 0")
     if mode != "no_interference" and config.a == 0:

@@ -1,10 +1,10 @@
 """Shell shaping, exact closest-vector decoding and codebook construction.
 
-The decoder enumerates the p^k codeword cosets of the lattice; within one
-coset the nearest point has a closed form (componentwise rounding), so the
-global nearest point is exact at cost p^k.  Codebooks are the shifted
-lattice intersected with a spherical shell between radii sqrt(nP') and
-sqrt(nP).
+The decoder scores all p^k codeword cosets of the lattice; within one coset
+the nearest point is componentwise rounding, so each coordinate's p costs are
+tabulated once and the exact global argmin costs one p^k x n gather and sum.
+Codebooks are the shifted lattice intersected with a spherical shell between
+radii sqrt(nP') and sqrt(nP).
 """
 
 from __future__ import annotations
@@ -72,20 +72,19 @@ class ShapingShell:
         return self.n * self.P_prime <= r2 <= self.n * self.P
 
 
-def _round_half_down(x: np.ndarray) -> np.ndarray:
-    # Nearest integer; exact halves go down, which keeps tied coset
-    # minimizers lexicographically smallest.
-    return np.ceil(x - 0.5)
+# (codewords, p, flat index) of the last codeword array decoded against; holding
+# the array itself keeps its id from being reused by another array.
+_flat_index_memo: tuple = (None, 0, None)
 
 
-def _lex_min_index(points: np.ndarray, d2: np.ndarray) -> int:
-    best = d2.min()
-    idx = np.nonzero(d2 == best)[0]
-    if idx.size == 1:
-        return int(idx[0])
-    rows = points[idx]
-    order = np.lexsort(rows.T[::-1])  # first coordinate is primary key
-    return int(idx[order[0]])
+def _flat_index(codewords: np.ndarray, p: int) -> np.ndarray:
+    """(p^k, n) index j*p + c_j of each coset's coordinates into an (n, p) table."""
+    global _flat_index_memo
+    memo = _flat_index_memo  # read once: another thread may replace it
+    if memo[0] is not codewords or memo[1] != p:
+        words = np.asarray(codewords, dtype=np.intp)
+        memo = _flat_index_memo = (codewords, p, words + p * np.arange(words.shape[1]))
+    return memo[2]
 
 
 def nearest_lattice_point(
@@ -98,10 +97,12 @@ def nearest_lattice_point(
 
     For each codeword c the per-coset minimizer is
     scale*gamma*(c + p*round((target/(scale*gamma) - c)/p)) componentwise;
-    the global argmin over cosets is exact.  Ties break to the
-    lexicographically smallest point.  `codewords` may carry a precomputed
-    enumeration to amortize repeated decodes against one lattice; without
-    it, enumerate_codewords raises EnumerationTooLarge past ENUMERATION_CAP.
+    the global argmin over cosets is exact.  Coordinate j depends only on
+    c_j, so each coset's squared distance sums entries of one (n, p) table.
+    Ties break to the lexicographically smallest point.  `codewords` may
+    carry a precomputed enumeration to amortize repeated decodes against one
+    lattice; without it, enumerate_codewords raises EnumerationTooLarge past
+    ENUMERATION_CAP.
     """
     if scale == 0:
         raise ValueError("scale must be nonzero")
@@ -111,10 +112,14 @@ def nearest_lattice_point(
     if codewords is None:
         codewords = enumerate_codewords(lat.code)
     cell = abs(scale) * lat.gamma
-    Z = _round_half_down((t / cell - codewords) / lat.p)
-    cand = cell * (codewords + lat.p * Z)
-    d2 = ((cand - t) ** 2).sum(axis=1)
-    return cand[_lex_min_index(cand, d2)].copy()
+    r = np.arange(lat.p)
+    # nearest integer with exact halves rounded down, so tied minimizers stay lex-smallest
+    cand = cell * (r + lat.p * np.ceil((t[:, None] / cell - r) / lat.p - 0.5))
+    flat = _flat_index(codewords, lat.p)
+    d2 = ((cand - t[:, None]) ** 2).ravel()[flat].sum(axis=1)
+    best = np.flatnonzero(d2 == d2.min())
+    rows = cand.ravel()[flat[best]]
+    return rows[0] if best.size == 1 else rows[np.lexsort(rows.T[::-1])[0]]
 
 
 def required_size(n: int, R: float) -> int:

@@ -1,0 +1,87 @@
+"""Slow reference implementations that the package's fast paths are checked against.
+
+- `coset_scan_nearest`: the exact closest-point decoder as first written,
+  scanning all p^k cosets with per-coset half-down rounding and a
+  lexicographic tie-break.  A faster `nearest_lattice_point` must equal it
+  byte for byte, ties included.
+- `brute_force_nearest`: a ball-enumeration oracle that does not use coset
+  rounding at all.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from icalign.zp_codes import ConstructionALattice, enumerate_codewords
+
+
+def _round_half_down(x: np.ndarray) -> np.ndarray:
+    # Nearest integer; exact halves go down, which keeps tied coset
+    # minimizers lexicographically smallest.
+    return np.ceil(x - 0.5)
+
+
+def _lex_min_index(points: np.ndarray, d2: np.ndarray) -> int:
+    best = d2.min()
+    idx = np.nonzero(d2 == best)[0]
+    if idx.size == 1:
+        return int(idx[0])
+    rows = points[idx]
+    order = np.lexsort(rows.T[::-1])  # first coordinate is primary key
+    return int(idx[order[0]])
+
+
+def coset_scan_nearest(
+    lat: ConstructionALattice,
+    target,
+    scale: float = 1.0,
+    codewords: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact closest point of scale * gamma * Lambda_C to `target`.
+
+    For each codeword c the per-coset minimizer is
+    scale*gamma*(c + p*round((target/(scale*gamma) - c)/p)) componentwise;
+    the global argmin over cosets is exact.  Ties break to the
+    lexicographically smallest point.  `codewords` may carry a precomputed
+    enumeration to amortize repeated decodes against one lattice; without
+    it, enumerate_codewords raises EnumerationTooLarge past ENUMERATION_CAP.
+    """
+    if scale == 0:
+        raise ValueError("scale must be nonzero")
+    t = np.asarray(target, dtype=float)
+    if t.shape != (lat.n,):
+        raise ValueError(f"target length {t.shape} != n={lat.n}")
+    if codewords is None:
+        codewords = enumerate_codewords(lat.code)
+    cell = abs(scale) * lat.gamma
+    Z = _round_half_down((t / cell - codewords) / lat.p)
+    cand = cell * (codewords + lat.p * Z)
+    d2 = ((cand - t) ** 2).sum(axis=1)
+    return cand[_lex_min_index(cand, d2)].copy()
+
+
+def brute_force_nearest(lat, target, scale=1.0):
+    """Ball-enumeration oracle: scan every lattice point within a radius
+    guaranteed to contain the nearest one (p*Z^n is always a sublattice,
+    so the rounded p-grid point bounds the distance)."""
+    t = np.asarray(target, dtype=float)
+    cell = abs(scale) * lat.gamma
+    p, n = lat.p, lat.n
+    v0 = cell * p * np.round(t / (cell * p))
+    d0 = math.sqrt(float(((t - v0) ** 2).sum())) * (1 + 1e-12) + 1e-12
+    chunks = []
+    for c in enumerate_codewords(lat.code):
+        lo = np.ceil((t - d0) / (cell * p) - c / p - 1e-9).astype(int)
+        hi = np.floor((t + d0) / (cell * p) - c / p + 1e-9).astype(int)
+        if np.any(hi < lo):
+            continue
+        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
+        Z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        chunks.append(cell * (c + p * Z))
+    cand = np.vstack(chunks)
+    d2 = ((cand - t) ** 2).sum(axis=1)
+    best = d2.min()
+    ties = sorted(tuple(row) for row in cand[d2 == best])
+    return np.array(ties[0]), float(best)

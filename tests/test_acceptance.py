@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import brute_force_nearest
 
 from icalign.cli_harness import parse_config, run_experiment
 from icalign.det_channel import DetChannelConfig, det_capacity_check
@@ -165,29 +166,6 @@ def test_criterion_3_deterministic_channel_capacity():
 
 
 # --------------------------------------------------------------- criterion 4
-
-
-def brute_force_nearest(lat, target, scale=1.0):
-    """Ball-enumeration oracle (independent of the coset-rounding decoder)."""
-    t = np.asarray(target, dtype=float)
-    cell = abs(scale) * lat.gamma
-    p, n = lat.p, lat.n
-    v0 = cell * p * np.round(t / (cell * p))  # p*Z^n is always a sublattice
-    d0 = math.sqrt(float(((t - v0) ** 2).sum())) * (1 + 1e-12) + 1e-12
-    chunks = []
-    for c in enumerate_codewords(lat.code):
-        lo = np.ceil((t - d0) / (cell * p) - c / p - 1e-9).astype(int)
-        hi = np.floor((t + d0) / (cell * p) - c / p + 1e-9).astype(int)
-        if np.any(hi < lo):
-            continue
-        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-        Z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        chunks.append(cell * (c + p * Z))
-    cand = np.vstack(chunks)
-    d2 = ((cand - t) ** 2).sum(axis=1)
-    best = d2.min()
-    ties = sorted(tuple(row) for row in cand[d2 == best])
-    return np.array(ties[0]), float(best)
 
 
 def test_criterion_4_cvp_oracle_equivalence():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from icalign.gaussian_sim import (
+    POINT_MATCH_TOL,
     ChannelConfig,
     channel_output,
     decode_interference_sum,
@@ -292,6 +293,34 @@ def test_no_interference_baseline_reduces_to_nearest_codeword():
     assert np.array_equal(report.msg_errors, errors)
     assert report.intf_error_rate.tolist() == [0.0, 0.0]
 
+
+def test_config_P_matches_shell_P_to_relative_tolerance():
+    lat = ConstructionALattice(LinearCode(p=2, n=2, k=1, G=[[1, 1]]), 0.3)
+    cb = build_codebook(lat, [0.15, 0.15], ShapingShell(n=2, P=0.3), R=0.5)
+    report = run_monte_carlo(ChannelConfig(K=3, a=4.0, P=0.1 + 0.2, n=2, seed=1), cb, 5)
+    assert report.trials == 5
+    with pytest.raises(ValueError, match=r"config P=0\.31 != shell P=0\.3\b"):
+        run_monte_carlo(ChannelConfig(K=3, a=4.0, P=0.31, n=2, seed=1), cb, 5)
+
+
+def test_stage1_compare_agrees_with_allclose():
+    _, cb = tiny_system()
+    a, K = 4.0, 3
+    y = channel_output(cb.codewords[[0, 3, 5]], a, np.zeros((3, 2)))[0]
+    t_hat = two_stage_decode(cb, a, K, y)[1].decoded_interference
+
+    def intf_err(true):
+        return two_stage_decode(cb, a, K, y, true_interference=true)[1].interference_error
+
+    assert intf_err(t_hat.copy()) is False
+    assert intf_err(t_hat + [0.0, 2 * POINT_MATCH_TOL]) is True
+    assert intf_err(np.array([np.nan, t_hat[1]])) is True
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        true = t_hat + POINT_MATCH_TOL * rng.uniform(-2, 2, size=2) * rng.integers(0, 2, size=2)
+        if rng.random() < 0.1:
+            true[rng.integers(2)] = np.nan
+        assert intf_err(true) == (not np.allclose(t_hat, true, rtol=0, atol=POINT_MATCH_TOL))
 
 
 @pytest.mark.parametrize("mode", ["two_stage", "lattice_only", "no_interference"])

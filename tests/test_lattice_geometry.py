@@ -1,7 +1,10 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from oracles import brute_force_nearest, coset_scan_nearest
 
 from icalign.lattice_geometry import (
     CODEBOOK_ENUM_CAP,
@@ -40,31 +43,6 @@ def random_lattice(rng, p_choices=(2, 3, 5), n_max=6, k_max=3):
     gamma = float(rng.uniform(0.4, 1.6))
     code = sample_code(CodeEnsemble(p=p, n=n, k=k, samples=1, seed=int(rng.integers(1 << 30))), 0)
     return ConstructionALattice(code, gamma)
-
-
-def brute_force_nearest(lat, target, scale=1.0):
-    """Ball-enumeration oracle: scan every lattice point within a radius
-    guaranteed to contain the nearest one (p*Z^n is always a sublattice,
-    so the rounded p-grid point bounds the distance)."""
-    t = np.asarray(target, dtype=float)
-    cell = abs(scale) * lat.gamma
-    p, n = lat.p, lat.n
-    v0 = cell * p * np.round(t / (cell * p))
-    d0 = math.sqrt(float(((t - v0) ** 2).sum())) * (1 + 1e-12) + 1e-12
-    chunks = []
-    for c in enumerate_codewords(lat.code):
-        lo = np.ceil((t - d0) / (cell * p) - c / p - 1e-9).astype(int)
-        hi = np.floor((t + d0) / (cell * p) - c / p + 1e-9).astype(int)
-        if np.any(hi < lo):
-            continue
-        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-        Z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        chunks.append(cell * (c + p * Z))
-    cand = np.vstack(chunks)
-    d2 = ((cand - t) ** 2).sum(axis=1)
-    best = d2.min()
-    ties = sorted(tuple(row) for row in cand[d2 == best])
-    return np.array(ties[0]), float(best)
 
 
 # ------------------------------------------------------------- shell_volume
@@ -163,6 +141,79 @@ def test_cvp_tie_breaks_lexicographically():
     # (0.5, 0.5) is equidistant from four integer points; smallest wins
     assert nearest_lattice_point(lat, [0.5, 0.5]).tolist() == [0.0, 0.0]
     assert nearest_lattice_point(lat, [-0.5, 0.5]).tolist() == [-1.0, 0.0]
+
+
+def cvp_cases(seed):
+    """Seeded (lattice, codewords, scale, targets) cases full of ties."""
+    rng = np.random.default_rng(seed)
+    shapes = [(2, 1, 1), (2, 4, 4), (3, 6, 2), (7, 3, 3), (5, 12, 5), (5, 12, 5),
+              (2, 12, 11), (2, 12, 11), (3, 12, 7), (7, 6, 4), (5, 8, 0)]
+    shapes += [(int(rng.choice([2, 3, 5, 7])), n, int(rng.integers(0, 4)))
+               for n in rng.integers(3, 13, size=6)]
+    lattices = [ConstructionALattice(sample_code(CodeEnsemble(
+        p=p, n=n, k=k, samples=1, seed=int(rng.integers(1 << 30))), 0),
+        float(rng.uniform(0.4, 1.6))) for p, n, k in shapes]
+    # non-systematic full-rank generator over Z_5
+    lattices.append(ConstructionALattice(
+        LinearCode(p=5, n=5, k=3, G=[[2, 1, 0, 3, 4], [1, 3, 4, 0, 2], [0, 2, 1, 1, 3]]), 0.9))
+    for lat in lattices:
+        words = enumerate_codewords(lat.code)
+        for scale in (1.0, -1.0, 2.5, -0.7):
+            cell = abs(scale) * lat.gamma
+
+            def point():
+                return words[rng.integers(len(words))] + lat.p * rng.integers(-2, 3, size=lat.n)
+
+            targets = []
+            for _ in range(3):
+                targets.append(cell * (rng.integers(-3, 4, size=lat.n)
+                                       + 0.5 * rng.integers(0, 2, size=lat.n)))
+                targets.append(cell * (point() + point()) / 2.0)
+                targets.append(cell * point())
+                targets.append(cell * lat.p * rng.standard_normal(lat.n))
+            yield lat, words, scale, targets
+
+
+def test_cvp_equals_coset_scan_byte_for_byte():
+    cases = list(cvp_cases(97))
+    for lat, words, scale, targets in cases:
+        for t in targets:
+            want = coset_scan_nearest(lat, t, scale).tobytes()
+            assert nearest_lattice_point(lat, t, scale).tobytes() == want
+            assert nearest_lattice_point(lat, t, scale, codewords=words).tobytes() == want
+    # alternate two lattices' arrays through the memo; some pairs share p, n and k
+    for (lat_a, words_a, sa, ta), (lat_b, words_b, sb, tb) in zip(cases, cases[4:]):
+        for x, y in zip(ta, tb):
+            got_a = nearest_lattice_point(lat_a, x, sa, codewords=words_a)
+            got_b = nearest_lattice_point(lat_b, y, sb, codewords=words_b)
+            assert got_a.tobytes() == coset_scan_nearest(lat_a, x, sa, words_a).tobytes()
+            assert got_b.tobytes() == coset_scan_nearest(lat_b, y, sb, words_b).tobytes()
+
+    # two threads decoding different lattices at once, switching as often as possible
+    big = [c for c in cases if c[0].p ** c[0].k == 3125 and c[2] == 2.5]
+    want = [[coset_scan_nearest(lat, t, scale).tobytes() for t in targets]
+            for lat, _, scale, targets in big]
+    got = [[], []]
+
+    def decode(i):
+        lat, words, scale, targets = big[i]
+        for _ in range(5):
+            got[i].append([nearest_lattice_point(lat, t, scale, codewords=words).tobytes()
+                           for t in targets])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=decode, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(big) == 2 and want[0] != want[1]
+    assert got == [[want[0]] * 5, [want[1]] * 5]
 
 
 # ------------------------------------------------------------ build_codebook
