@@ -58,6 +58,7 @@ from .zp_codes import (
     enumerate_codewords,
     fundamental_volume,
     is_lattice_point,
+    lattice_coords,
     lattice_from_text,
     lattice_to_text,
     sample_code,

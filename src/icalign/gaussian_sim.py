@@ -23,15 +23,11 @@ from .lattice_geometry import (
     nearest_codeword,
     nearest_lattice_point,
 )
-from .zp_codes import ConstructionALattice, enumerate_codewords, is_lattice_point
+from .zp_codes import ConstructionALattice, enumerate_codewords, is_lattice_point, lattice_coords
 
 TRIAL_STREAM = 2
 
 MODES = ("two_stage", "lattice_only", "no_interference")
-
-# A decoded lattice point matches ground truth when every coordinate
-# agrees this closely (both sides are exact multiples of gamma plus s).
-POINT_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,12 +58,12 @@ class ChannelConfig:
 
 @dataclass
 class TrialResult:
-    """Per-receiver outcome of one decoded channel use."""
+    """Per-receiver outcome of one decoded channel use.
 
-    message_index: int | None
-    decoded_interference: np.ndarray | None
-    decoded_message: int | None
-    effective_noise_power: float | None  # |x_j + z_j|^2 / n
+    The error flags are None when the caller gave no truth to judge by.
+    """
+
+    decoded_interference: np.ndarray | None  # None when there is no stage 1
     interference_error: bool | None
     message_error: bool | None
 
@@ -123,7 +119,6 @@ def two_stage_decode(
     y,
     true_interference=None,
     true_message: int | None = None,
-    true_signal_plus_noise=None,
     codewords: np.ndarray | None = None,
 ) -> tuple[int, TrialResult]:
     """Decode the aligned interference sum, cancel it, then decode the message.
@@ -131,14 +126,16 @@ def two_stage_decode(
     After a correct stage 1 the residual y - (K-1)*a*s - t_hat equals
     x_j + z_j exactly.  A stage-1 error is not detected; stage 2 proceeds
     on the wrong residual and the resulting message error is counted.
+    Given the true interference point (of a*Lambda), stage 1 is judged by
+    integer lattice coordinates (zp_codes.lattice_coords at scale a), so
+    the verdict is exact at any gain a.
     """
-    return _receive(cb, a, K, y, "two_stage", codewords,
-                    true_interference, true_message, true_signal_plus_noise)
+    return _receive(cb, a, K, y, "two_stage", codewords, true_interference, true_message)
 
 
 def _receive(
     cb: Codebook, a: float, K: int, y, mode: str, codewords=None, true_interference=None,
-    true_message=None, true_signal_plus_noise=None,
+    true_message=None,
 ) -> tuple[int | None, TrialResult]:
     """two_stage_decode for any of MODES; no_interference has no stage 1."""
     y = np.asarray(y, dtype=float)
@@ -152,20 +149,10 @@ def _receive(
         m_hat, _ = nearest_codeword(cb, residual)
     intf_err = None
     if true_interference is not None:
-        intf_err = not (np.abs(t_hat - true_interference) <= POINT_MATCH_TOL).all()
+        intf_err = bool((lattice_coords(cb.lattice, t_hat, a)
+                         != lattice_coords(cb.lattice, true_interference, a)).any())
     msg_err = None if true_message is None else (m_hat != true_message)
-    eff = None
-    if true_signal_plus_noise is not None:
-        v = np.asarray(true_signal_plus_noise, dtype=float)
-        eff = float((v**2).mean())
-    return m_hat, TrialResult(
-        message_index=true_message,
-        decoded_interference=t_hat,
-        decoded_message=m_hat,
-        effective_noise_power=eff,
-        interference_error=intf_err,
-        message_error=msg_err,
-    )
+    return m_hat, TrialResult(t_hat, intf_err, msg_err)
 
 
 def lattice_only_decode(cb: Codebook, y, codewords: np.ndarray | None = None) -> int | None:
@@ -334,6 +321,9 @@ def run_monte_carlo(
         X = cb.codewords[msgs]
         Z = sigma * rng.standard_normal((K, n))
         Y = channel_output(X, a, Z)
+        eff = ((X + Z) ** 2).mean(axis=1)  # |x_j + z_j|^2 / n per receiver
+        eff_sum += eff
+        eff_sumsq += eff * eff
         lambdas = X - cb.shift
         lam_total = lambdas.sum(axis=0)
         for j in range(K):
@@ -343,10 +333,7 @@ def run_monte_carlo(
                 align_checks += 1
                 if not is_lattice_point(lat, true_sum, scale=a):
                     align_violations += 1
-            _, res = _receive(cb, a, K, Y[j], mode, codewords, true_sum, msgs[j], X[j] + Z[j])
-            eff = res.effective_noise_power
-            eff_sum[j] += eff
-            eff_sumsq[j] += eff * eff
+            _, res = _receive(cb, a, K, Y[j], mode, codewords, true_sum, msgs[j])
             intf_err, msg_err = res.interference_error, res.message_error
             if intf_err:
                 blk_intf[block, j] += 1

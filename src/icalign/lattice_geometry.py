@@ -21,13 +21,11 @@ from .zp_codes import (
     EnumerationTooLarge,
     enumerate_codewords,
     fundamental_volume,
+    lattice_coords,
 )
 
 # Cap on candidate prefix rows materialised while enumerating one codebook.
 CODEBOOK_ENUM_CAP = 1 << 24
-
-# Decimals a point is rounded to when Codebook.index_of looks it up.
-INDEX_DECIMALS = 9
 
 SHIFT_STREAM = 1
 
@@ -170,15 +168,18 @@ class Codebook:
         return min(len(self.codewords), required_size(self.lattice.n, self.R))
 
     def index_of(self, x) -> int | None:
-        """Index of codeword equal to x (within rounding), else None."""
+        """Index of the codeword equal to x, else None.
+
+        x must be a point of the shifted lattice gamma*Lambda_C + shift: it is
+        matched by the integer coordinates lattice_coords(x - shift), so a
+        vector off the lattice matches the point those coordinates round to.
+        """
         table = getattr(self, "_index_table", None)
         if table is None:
-            table = {
-                tuple(np.round(row, INDEX_DECIMALS)): i
-                for i, row in enumerate(self.codewords)
-            }
+            coords = lattice_coords(self.lattice, self.codewords - self.shift)
+            table = {row.tobytes(): i for i, row in enumerate(coords)}
             object.__setattr__(self, "_index_table", table)
-        return table.get(tuple(np.round(np.asarray(x, dtype=float), INDEX_DECIMALS)))
+        return table.get(lattice_coords(self.lattice, x - self.shift).tobytes())
 
 
 def build_codebook(

@@ -178,6 +178,15 @@ def enumerate_codewords(code: LinearCode) -> np.ndarray:
     return (msgs @ code.G) % code.p
 
 
+def lattice_coords(lat: ConstructionALattice, v, scale: float = 1.0) -> np.ndarray:
+    """Integer coordinates rint(v / (|scale|*gamma)) of points of scale * gamma * Z^n.
+
+    Two points of the lattice are equal iff their coordinates are; exact
+    while every coordinate stays below 2^51 cells.
+    """
+    return np.rint(np.asarray(v, dtype=float) / (abs(scale) * lat.gamma)).astype(np.int64)
+
+
 def is_lattice_point(lat: ConstructionALattice, v, scale: float = 1.0) -> bool:
     """True iff v belongs to scale * gamma * Lambda_C.
 
@@ -190,11 +199,10 @@ def is_lattice_point(lat: ConstructionALattice, v, scale: float = 1.0) -> bool:
     v = np.asarray(v, dtype=float)
     if v.shape != (lat.n,):
         raise ValueError(f"vector length {v.shape} != n={lat.n}")
-    u = v / (abs(scale) * lat.gamma)
-    w = np.rint(u)
-    if np.max(np.abs(u - w), initial=0.0) > INTEGRALITY_TOL:
+    w = lattice_coords(lat, v, scale)
+    if (np.abs(v / (abs(scale) * lat.gamma) - w) > INTEGRALITY_TOL).any():
         return False
-    return lat.code.contains(w.astype(np.int64) % lat.p)
+    return lat.code.contains(w % lat.p)
 
 
 def fundamental_volume(lat: ConstructionALattice) -> float:

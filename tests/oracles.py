@@ -6,14 +6,21 @@
   byte for byte, ties included.
 - `brute_force_nearest`: a ball-enumeration oracle that does not use coset
   rounding at all.
+- `box_scan_codebook`: codebook enumeration by scanning each coset's whole
+  integer box; `build_codebook` must equal it byte for byte.
+- `all_inputs` and `collision_capacity_check`: every bit input of a
+  deterministic channel, and zero-error decodability decided by looking
+  for colliding outputs among them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from icalign.det_channel import det_output
 from icalign.zp_codes import ConstructionALattice, enumerate_codewords
 
 
@@ -85,3 +92,43 @@ def brute_force_nearest(lat, target, scale=1.0):
     best = d2.min()
     ties = sorted(tuple(row) for row in cand[d2 == best])
     return np.array(ties[0]), float(best)
+
+
+def box_scan_codebook(lat, s, shell):
+    """Reference enumeration: scan every coset's whole integer box around
+    the outer ball, keep the exact shell members, sort lexicographically."""
+    cosets = enumerate_codewords(lat.code)
+    g, p, n = lat.gamma, lat.p, lat.n
+    r_out = shell.outer_radius
+    lo_b = (-r_out - s) / (g * p)
+    hi_b = (r_out - s) / (g * p)
+    chunks = [np.zeros((0, n))]
+    for c in cosets:
+        lo = np.ceil(lo_b - c / p - 1e-9).astype(np.int64)
+        hi = np.floor(hi_b - c / p + 1e-9).astype(np.int64)
+        if np.any(hi < lo):
+            continue
+        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
+        Z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        X = g * (c + p * Z) + s
+        r2 = (X**2).sum(axis=1)
+        chunks.append(X[(r2 >= n * shell.P_prime) & (r2 <= n * shell.P)])
+    pts = np.vstack(chunks)
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+def all_inputs(cfg):
+    space = itertools.product([0, 1], repeat=cfg.K * cfg.n_d)
+    for flat in space:
+        yield np.array(flat).reshape(cfg.K, cfg.n_d)
+
+
+def collision_capacity_check(cfg) -> bool:
+    """Receiver j is zero-error iff no output value of det_output comes from
+    two inputs with different own bits; True when every receiver is."""
+    own_bits_by_output = [{} for _ in range(cfg.K)]
+    for x in all_inputs(cfg):
+        y = det_output(cfg, x)
+        for j in range(cfg.K):
+            own_bits_by_output[j].setdefault(tuple(y[j]), set()).add(tuple(x[j]))
+    return all(len(own) == 1 for seen in own_bits_by_output for own in seen.values())

@@ -1,7 +1,6 @@
-import itertools
-
 import numpy as np
 import pytest
+from oracles import all_inputs, collision_capacity_check
 
 from icalign.det_channel import (
     DetChannelConfig,
@@ -13,12 +12,6 @@ from icalign.det_channel import (
 )
 from icalign.regime import gdof_check
 from icalign.zp_codes import EnumerationTooLarge
-
-
-def all_inputs(cfg):
-    space = itertools.product([0, 1], repeat=cfg.K * cfg.n_d)
-    for flat in space:
-        yield np.array(flat).reshape(cfg.K, cfg.n_d)
 
 
 # ----------------------------------------------------------------- model
@@ -168,11 +161,5 @@ def test_capacity_check_matches_brute_force_on_det_output():
         for n_d in range(1, 3):
             for n_c in range(0, 6):
                 cfg = DetChannelConfig(K=K, n_d=n_d, n_c=n_c)
-                own_bits_by_output = [{} for _ in range(K)]
-                for x in all_inputs(cfg):
-                    y = det_output(cfg, x)
-                    for j in range(K):
-                        own_bits_by_output[j].setdefault(tuple(y[j]), set()).add(tuple(x[j]))
-                expected = all(len(own) == 1 for seen in own_bits_by_output
-                               for own in seen.values())
+                expected = collision_capacity_check(cfg)
                 assert det_capacity_check(cfg) == expected, (K, n_d, n_c)

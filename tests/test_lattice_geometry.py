@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from oracles import brute_force_nearest, coset_scan_nearest
+from oracles import box_scan_codebook, brute_force_nearest, coset_scan_nearest
 
 from icalign.lattice_geometry import (
     CODEBOOK_ENUM_CAP,
@@ -275,29 +275,6 @@ def test_codebook_members_satisfy_invariants():
             assert (x**2).sum() <= n * P + 1e-9  # power constraint
             assert shell.contains(x)
             assert is_lattice_point(lat, x - s)
-
-
-def box_scan_codebook(lat, s, shell):
-    """Reference enumeration: scan every coset's whole integer box around
-    the outer ball, keep the exact shell members, sort lexicographically."""
-    cosets = enumerate_codewords(lat.code)
-    g, p, n = lat.gamma, lat.p, lat.n
-    r_out = shell.outer_radius
-    lo_b = (-r_out - s) / (g * p)
-    hi_b = (r_out - s) / (g * p)
-    chunks = [np.zeros((0, n))]
-    for c in cosets:
-        lo = np.ceil(lo_b - c / p - 1e-9).astype(np.int64)
-        hi = np.floor(hi_b - c / p + 1e-9).astype(np.int64)
-        if np.any(hi < lo):
-            continue
-        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-        Z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        X = g * (c + p * Z) + s
-        r2 = (X**2).sum(axis=1)
-        chunks.append(X[(r2 >= n * shell.P_prime) & (r2 <= n * shell.P)])
-    pts = np.vstack(chunks)
-    return pts[np.lexsort(pts.T[::-1])]
 
 
 def test_codebook_equals_box_scan_byte_for_byte():
