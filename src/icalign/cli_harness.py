@@ -2,8 +2,7 @@
 
 A config describes one experiment: a target subcommand plus a parameter
 grid.  Grid points run serially in a fixed lexicographic order and rows
-are written in grid order, so a spec maps to byte-identical output files
-whatever `--threads` says.
+are written in grid order, so a spec maps to byte-identical output files.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ REQUIRED_KEYS = {
     "lattice": ("n", "P", "R"),
 }
 
-# integer keys and their least value (p must also be prime); threads and steps
-# are flags only
-_INT_KEYS = {"seed": 0, "trials": 1, "threads": 1, "steps": 1, "K": 2, "n": 1, "p": 2,
+# integer keys and their least value (p must also be prime; steps is the
+# --sweep STEPS bound, not a config key)
+_INT_KEYS = {"seed": 0, "trials": 1, "steps": 1, "K": 2, "n": 1, "p": 2,
              "shift_trials": 1, "n_d": 1, "n_c": 0}
 _FLOAT_KEYS = {"P", "a2", "Pprime", "R", "R_frac", "Rprime"}
 _POSITIVE_KEYS = {"P", "Rprime"}  # the other float keys may be 0
@@ -77,8 +76,6 @@ SWEEP_CSV_COLUMNS = ["P", "two_user", "joint_decode_K", "alignment",
 
 BLOCK_CSV_COLUMNS = ["grid_index", "trial_block", "user",
                      "intf_err_rate", "msg_err_rate", "ci_half_width"]
-
-SIM_BLOCK_COUNT = 10
 
 
 class ConfigError(ValueError):
@@ -252,10 +249,7 @@ def _simulate_point(params: dict, key: _CodebookKey, spec: ExperimentSpec,
         K=params["K"], a=a, P=key.P, n=key.n, seed=spec.seed
     )
     mode = params.get("mode", "two_stage")
-    report = gaussian_sim.run_monte_carlo(
-        config, cb, spec.trials, mode=mode,
-        block_count=min(SIM_BLOCK_COUNT, spec.trials),
-    )
+    report = gaussian_sim.run_monte_carlo(config, cb, spec.trials, mode=mode)
     row = {
         "K": params["K"], "a2": params["a2"], "P": key.P,
         "Pprime": key.Pprime, "n": key.n,
@@ -334,7 +328,8 @@ def _fmt(v):
 def run_experiment(spec: ExperimentSpec, threads: int = 1):
     """Execute the grid; write CSV (+ summary JSON) atomically in grid order.
 
-    Grid points run serially; `threads` is accepted but changes nothing.
+    Grid points run serially.  `threads` is ignored: it stays only because
+    perfbench/run.py passes it, until ROADMAP item 1 drops it there.
     Returns (rows, written_paths).  Failures raise ExperimentError naming
     the grid point; a ConfigError (Rprime = auto with no midpoint) names it too.
     """
@@ -439,7 +434,6 @@ def _add_common_flags(sp):
     sp.add_argument("--config", help="experiment config file")
     sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--trials", type=int, default=None)
 
 
@@ -550,7 +544,7 @@ def _dispatch(args) -> int:
     if not args.config:
         raise ConfigError(f"{args.command} requires --config")
     spec = _load_spec(args)
-    _, written = run_experiment(spec, threads=_flag_or_env(args, "threads", int, 1))
+    _, written = run_experiment(spec)
     for path in written:
         print(path)
     return 0

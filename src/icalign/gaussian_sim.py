@@ -26,6 +26,7 @@ from .lattice_geometry import (
 from .zp_codes import ConstructionALattice, enumerate_codewords, is_lattice_point, lattice_coords
 
 TRIAL_STREAM = 2
+BLOCK_COUNT = 10
 
 MODES = ("two_stage", "lattice_only", "no_interference")
 
@@ -63,7 +64,6 @@ class TrialResult:
     The error flags are None when the caller gave no truth to judge by.
     """
 
-    decoded_interference: np.ndarray | None  # None when there is no stage 1
     interference_error: bool | None
     message_error: bool | None
 
@@ -119,7 +119,6 @@ def two_stage_decode(
     y,
     true_interference=None,
     true_message: int | None = None,
-    codewords: np.ndarray | None = None,
 ) -> tuple[int, TrialResult]:
     """Decode the aligned interference sum, cancel it, then decode the message.
 
@@ -130,7 +129,7 @@ def two_stage_decode(
     integer lattice coordinates (zp_codes.lattice_coords at scale a), so
     the verdict is exact at any gain a.
     """
-    return _receive(cb, a, K, y, "two_stage", codewords, true_interference, true_message)
+    return _receive(cb, a, K, y, "two_stage", None, true_interference, true_message)
 
 
 def _receive(
@@ -152,7 +151,7 @@ def _receive(
         intf_err = bool((lattice_coords(cb.lattice, t_hat, a)
                          != lattice_coords(cb.lattice, true_interference, a)).any())
     msg_err = None if true_message is None else (m_hat != true_message)
-    return m_hat, TrialResult(t_hat, intf_err, msg_err)
+    return m_hat, TrialResult(intf_err, msg_err)
 
 
 def lattice_only_decode(cb: Codebook, y, codewords: np.ndarray | None = None) -> int | None:
@@ -167,19 +166,17 @@ def lattice_only_decode(cb: Codebook, y, codewords: np.ndarray | None = None) ->
     return cb.index_of(lam + cb.shift)
 
 
-def loeliger_error_bound(
-    n: int, sigma_sq: float, V: float, a: float, delta: float = 0.0
-) -> LoeligerBound:
-    """Interference-decode error bound 4(1+d)*(2 pi e sigma^2)^(n/2) / (a^n V).
+def loeliger_error_bound(n: int, sigma_sq: float, V: float, a: float) -> LoeligerBound:
+    """Interference-decode error bound 4*(2 pi e sigma^2)^(n/2) / (a^n V).
 
     Also evaluates the decay predicate
     0.5*log2(2 pi e sigma^2 / a^2) - log2(V)/n < 0: the error probability
     shrinks with n exactly when the Voronoi cell of a*Lambda outgrows the
     typical noise set.
     """
-    if n < 1 or sigma_sq <= 0 or V <= 0 or a <= 0 or delta < 0:
-        raise ValueError("n, sigma_sq, V, a must be positive and delta >= 0")
-    bound = 4.0 * (1.0 + delta) * (2 * math.pi * math.e * sigma_sq) ** (n / 2) / (a**n * V)
+    if n < 1 or sigma_sq <= 0 or V <= 0 or a <= 0:
+        raise ValueError("n, sigma_sq, V, a must be positive")
+    bound = 4.0 * (2 * math.pi * math.e * sigma_sq) ** (n / 2) / (a**n * V)
     margin = 0.5 * math.log2(2 * math.pi * math.e * sigma_sq / a**2) - math.log2(V) / n
     return LoeligerBound(bound=bound, decay_margin=margin, decays=margin < 0)
 
@@ -267,7 +264,6 @@ def run_monte_carlo(
     cb: Codebook,
     trials: int,
     mode: str = "two_stage",
-    block_count: int = 1,
 ) -> SimulationReport:
     """Independent seeded trials of the full encode / channel / decode chain.
 
@@ -276,7 +272,8 @@ def run_monte_carlo(
     report.  Transmitters draw uniform messages from the rate-R message
     sub-codebook; receivers decode against that same sub-codebook.  Every
     trial also asserts the alignment invariant: the true interference sum
-    at each receiver is a member of a*Lambda.
+    at each receiver is a member of a*Lambda.  Error counts are also kept
+    per block of consecutive trials, min(BLOCK_COUNT, trials) blocks.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -300,7 +297,7 @@ def run_monte_carlo(
     K, n, a = config.K, config.n, config.a
     codewords = enumerate_codewords(lat.code)
     sigma = math.sqrt(config.noise_variance)
-    block_count = max(1, min(block_count, trials))
+    block_count = min(BLOCK_COUNT, trials)
     bounds = np.array([round(trials * b / block_count) for b in range(block_count + 1)])
 
     msg_errors_intf_ok = np.zeros(K, dtype=np.int64)

@@ -58,10 +58,6 @@ class ShapingShell:
     def outer_radius(self) -> float:
         return math.sqrt(self.n * self.P)
 
-    @property
-    def inner_radius(self) -> float:
-        return math.sqrt(self.n * self.P_prime)
-
     def volume(self) -> float:
         return shell_volume(self.n, self.P, self.P_prime)
 

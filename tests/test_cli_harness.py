@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -150,17 +151,6 @@ def test_simulate_experiment_rerun_byte_identical(tmp_path):
         assert sha(out1 / f) == sha(out2 / f), f
 
 
-def test_simulate_threads_do_not_change_output(tmp_path):
-    cfg = MINIMAL_SIM.replace("a2 = 4", "a2 = 4, 9, 16")
-    out1, out4 = tmp_path / "t1", tmp_path / "t4"
-    spec = parse_config(cfg + f"out = {out1}\n")
-    run_experiment(spec, threads=1)
-    spec = parse_config(cfg + f"out = {out4}\n")
-    run_experiment(spec, threads=4)
-    for f in sorted(os.listdir(out1)):
-        assert sha(out1 / f) == sha(out4 / f), f
-
-
 def test_simulate_csv_and_summary_content(tmp_path):
     spec = parse_config(MINIMAL_SIM + f"out = {tmp_path}\n")
     rows, written = run_experiment(spec)
@@ -277,7 +267,7 @@ def test_env_overrides(tmp_path, monkeypatch, capsys):
     assert ",25," in text
 
 
-@pytest.mark.parametrize("name", ["SEED", "TRIALS", "THREADS"])
+@pytest.mark.parametrize("name", ["SEED", "TRIALS"])
 def test_env_non_integer_exits_2_naming_variable(tmp_path, monkeypatch, capsys, name):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(MINIMAL_SIM)
@@ -286,22 +276,13 @@ def test_env_non_integer_exits_2_naming_variable(tmp_path, monkeypatch, capsys, 
     assert f"ICALIGN_{name}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_threads_flag_below_one_exits_2(tmp_path, capsys, value):
+def test_threads_flag_is_unknown_exits_2(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(MINIMAL_SIM)
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
-                 "--threads", value]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--threads", "2"])
+    assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
-    assert not (tmp_path / "mini_simulate.csv").exists()
-
-
-def test_threads_env_below_one_exits_2(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "sim.cfg"
-    cfg.write_text(MINIMAL_SIM)
-    monkeypatch.setenv("ICALIGN_THREADS", "0")
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "ICALIGN_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "mini_simulate.csv").exists()
 
 
@@ -480,3 +461,33 @@ def test_auto_rprime_without_midpoint_exits_2(tmp_path, capsys, keys, point, P, 
     assert "Rprime = auto needs R < 0.5*log2(1+P)" in err
     assert f"got R = {R} at P = {P}" in err
     assert not out.exists()
+
+
+def test_readme_lists_exactly_the_flags_and_variables_the_cli_reads(tmp_path, monkeypatch,
+                                                                     capsys):
+    from icalign import cli_harness
+
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    start = readme.index("## Command line")
+    cli_section = readme[start:readme.index("\n## ", start)]
+
+    flags = set()
+    for sub in cli_harness.SUBCOMMANDS:
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        flags |= set(re.findall(r"--\w+", capsys.readouterr().out)) - {"--help"}
+    assert set(re.findall(r"--\w+", cli_section)) == flags
+
+    read = []
+    env_default = cli_harness._env_default
+
+    def recording_env_default(name, *args):
+        read.append(name)
+        return env_default(name, *args)
+
+    monkeypatch.setattr(cli_harness, "_env_default", recording_env_default)
+    cfg = tmp_path / "det.cfg"
+    cfg.write_text(f"subcommand = det\nK = 2\nn_d = 1\nn_c = 0\nout = {tmp_path}\n")
+    assert main(["det", "--config", str(cfg)]) == 0
+    assert main(["regime", "--sweep", "1", "2", "2"]) == 0
+    assert set(re.findall(r"ICALIGN_(\w+)", readme)) == set(read)

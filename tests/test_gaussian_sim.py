@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import replay_monte_carlo
 
 from icalign.gaussian_sim import (
     ChannelConfig,
@@ -219,7 +220,7 @@ def test_bound_halves_when_volume_doubles():
 
 
 def test_bound_arithmetic_example():
-    res = loeliger_error_bound(1, 1.0 / (2 * math.pi * math.e), 4.0, 1.0, delta=0.0)
+    res = loeliger_error_bound(1, 1.0 / (2 * math.pi * math.e), 4.0, 1.0)
     assert res.bound == pytest.approx(1.0, rel=1e-12)
 
 
@@ -261,8 +262,8 @@ def test_zero_trials_rejected():
 def test_same_seed_identical_report():
     _, cb = tiny_system()
     config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=123)
-    r1 = run_monte_carlo(config, cb, 300, mode="two_stage", block_count=5)
-    r2 = run_monte_carlo(config, cb, 300, mode="two_stage", block_count=5)
+    r1 = run_monte_carlo(config, cb, 300, mode="two_stage")
+    r2 = run_monte_carlo(config, cb, 300, mode="two_stage")
     assert np.array_equal(r1.msg_error_rate, r2.msg_error_rate)
     assert np.array_equal(r1.intf_error_rate, r2.intf_error_rate)
     assert np.array_equal(r1.block_msg_errors, r2.block_msg_errors)
@@ -332,48 +333,28 @@ def test_stage1_compares_lattice_coordinates():
         assert intf_err(np.array([np.nan, true_t[1]])) is True
 
 
-@pytest.mark.parametrize("mode", ["two_stage", "lattice_only", "no_interference"])
-def test_monte_carlo_agrees_with_public_decoders(mode):
-    # replay the per-trial substreams [seed, 2, i] through the public
-    # decoders of each mode and compare every per-user error count
+@pytest.mark.parametrize(
+    "mode, a",
+    [("two_stage", 2.5), ("lattice_only", 2.5), ("no_interference", 0.0),
+     ("two_stage", 1e7), ("lattice_only", 1e7)],
+    ids=["two_stage", "lattice_only", "no_interference", "two_stage_a1e7",
+         "lattice_only_a1e7"],
+)
+def test_monte_carlo_agrees_with_public_decoders(mode, a):
+    # replay the per-trial substreams through the public decoders of each
+    # mode and compare every per-user error count
     n, P, K, seed, trials = 4, 2.0, 3, 13, 120
-    a = 0.0 if mode == "no_interference" else 2.5
     shell = ShapingShell(n=n, P=P, P_prime=P / 4)
     lat = design_lattice(n, 0.9, shell.volume(), p=3, seed=2)  # k = 1, 12 codewords
     _, cb = find_shift(lat, shell, 0.5, trials=16, seed=2)  # 4 of them carry messages
-    report = run_monte_carlo(ChannelConfig(K=K, a=a, P=P, n=n, seed=seed), cb, trials,
-                             mode=mode)
-    mcb = message_codebook(cb)
-    intf = np.zeros(K, dtype=int)
-    msg = np.zeros(K, dtype=int)
-    msg_intf_ok = np.zeros(K, dtype=int)
-    for i in range(trials):
-        rng = np.random.default_rng([seed, 2, i])
-        msgs = rng.integers(0, mcb.message_count, size=K)
-        X = mcb.codewords[msgs]
-        Y = channel_output(X, a, rng.standard_normal((K, n)))
-        lam = X - mcb.shift
-        for j in range(K):
-            true_t = a * (lam.sum(axis=0) - lam[j])
-            if mode == "two_stage":
-                m_hat, res = two_stage_decode(mcb, a, K, Y[j], true_interference=true_t)
-                intf_err = res.interference_error
-            elif mode == "lattice_only":
-                t_hat = decode_interference_sum(lat, a, mcb.shift, K, Y[j])
-                intf_err = not np.allclose(t_hat, true_t, rtol=0, atol=1e-9)
-                residual = Y[j] - (K - 1) * a * mcb.shift - t_hat
-                m_hat = lattice_only_decode(mcb, residual)
-            else:
-                m_hat, _ = nearest_codeword(mcb, Y[j])
-                intf_err = False
-            msg_err = m_hat is None or m_hat != msgs[j]
-            intf[j] += intf_err
-            msg[j] += msg_err
-            msg_intf_ok[j] += msg_err and not intf_err
+    config = ChannelConfig(K=K, a=a, P=P, n=n, seed=seed)
+    report = run_monte_carlo(config, cb, trials, mode=mode)
+    intf, msg, msg_intf_ok = replay_monte_carlo(config, cb, trials, mode)
     assert np.array_equal(report.intf_errors, intf)
     assert np.array_equal(report.msg_errors, msg)
     assert np.array_equal(report.msg_errors_intf_ok, msg_intf_ok)
     assert report.msg_errors.sum() > 0  # the replay compares real decisions
+
 
 def test_point_to_point_sanity_low_error():
     # a = 0, R well below capacity: nearest-codeword decoding over a
@@ -423,14 +404,24 @@ def test_block_rows_schema():
 
     _, cb = tiny_system()
     config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=2)
-    report = run_monte_carlo(config, cb, 100, mode="two_stage", block_count=4)
+    report = run_monte_carlo(config, cb, 100, mode="two_stage")
     rows = report_csv_rows(report)
-    assert len(rows) == 4 * 3
+    assert len(rows) == 10 * 3
     assert list(rows[0]) == ["trial_block", "user", "intf_err_rate",
                              "msg_err_rate", "ci_half_width"]
     # block counts add up to the totals
-    total = sum(r["msg_err_rate"] * 25 for r in rows if r["user"] == 0)
+    total = sum(r["msg_err_rate"] * 10 for r in rows if r["user"] == 0)
     assert total == pytest.approx(report.msg_errors[0])
+
+
+@pytest.mark.parametrize("trials, blocks", [(7, 7), (100, 10)])
+def test_block_count_is_min_of_ten_and_trials(trials, blocks):
+    _, cb = tiny_system()
+    config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=2)
+    report = run_monte_carlo(config, cb, trials)
+    assert len(report.block_bounds) == blocks + 1
+    assert report.block_msg_errors.shape == (blocks, 3)
+    assert np.all(np.diff(report.block_bounds) == trials // blocks)
 
 
 def test_report_to_dict_is_json_ready():
