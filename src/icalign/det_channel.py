@@ -1,11 +1,13 @@
-"""Bit-level deterministic interference channel, exact and enumerable.
+"""Bit-level deterministic interference channel, exact and linear over GF(2).
 
 Each of K users sends n_d bits.  At receiver j the own bits land on
 levels 0..n_d-1 (top bit at level n_d-1) and every interferer's bits land
 on levels n_c-n_d..n_c-1 (bits shifted below level 0 are lost); levels
 add mod 2 across contributors.  With n_c >= 2*n_d the two bands are
 disjoint, so each receiver reads its own bits and the mod-2 sum of the
-interfering bits with zero error.
+interfering bits with zero error.  Because receiver j's output is A_j x
+over GF(2), zero-error decodability is a rank test on A_j rather than a
+search over all 2^(K*n_d) inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zp_codes import EnumerationTooLarge
+from .zp_codes import EnumerationTooLarge, rank_mod_p
 
 EXHAUSTION_CAP_BITS = 24
 
@@ -99,44 +101,33 @@ def det_decode(cfg: DetChannelConfig, y_j) -> tuple[np.ndarray, np.ndarray]:
     return own, y[cfg.n_c - cfg.n_d : cfg.n_c].copy()
 
 
-def _all_input_bits(cfg: DetChannelConfig) -> np.ndarray:
-    """(2^(K*n_d), K, n_d) bit array covering every input tuple."""
-    total_bits = cfg.K * cfg.n_d
-    t = np.arange(1 << total_bits, dtype=np.uint32)[:, None]
-    bits = ((t >> np.arange(total_bits, dtype=np.uint32)) & 1).astype(np.uint8)
-    return bits.reshape(-1, cfg.K, cfg.n_d)
-
-
 def det_capacity_check(cfg: DetChannelConfig) -> bool:
     """True iff every receiver recovers its own n_d bits with zero error.
 
-    Exhaustive over all 2^(K*n_d) input tuples: receiver j is zero-error
-    iff no two tuples with different own bits collide on y_j (no decoder,
-    however clever, can beat that).  When the level bands are disjoint,
-    the own-bit band of every output is also checked against the inputs.
-    Raises EnumerationTooLarge when K*n_d passes EXHAUSTION_CAP_BITS.
+    The level map is linear over GF(2), so receiver j sees y_j = A_j x for
+    the stacked input bits x.  Receiver j is zero-error iff no two inputs
+    with different own bits give one y_j, that is iff
+    rank2(A_j) = n_d + rank2(A_j without receiver j's own n_d columns)
+    (no decoder, however clever, can beat that).  When the level bands are
+    disjoint, A_j's own-band rows are also checked to read exactly the
+    own bits.  Raises EnumerationTooLarge when K*n_d passes
+    EXHAUSTION_CAP_BITS.
     """
     total_bits = cfg.K * cfg.n_d
     if total_bits > EXHAUSTION_CAP_BITS:
         raise EnumerationTooLarge(
             f"K*n_d = {total_bits} bits exceeds cap {EXHAUSTION_CAP_BITS}")
-    bits = _all_input_bits(cfg)
     n_d = cfg.n_d
-    level_weights = 1 << np.arange(cfg.q, dtype=np.int64)
-    ok = True
+    units = np.eye(total_bits, dtype=np.uint8)
     for j in range(cfg.K):
-        y = _receiver_output(cfg, bits, j)
-        y_int = y.astype(np.int64) @ level_weights
-        own_int = bits[:, j, :].astype(np.int64) @ level_weights[:n_d]
-        keys = y_int << n_d | own_int
-        if np.unique(keys).size != np.unique(y_int).size:
-            ok = False
-            break
-        if cfg.very_strong:
-            # disjoint bands: the direct read-off must match ground truth
-            if np.any(y[:, :n_d] != bits[:, j, :]):
-                raise AssertionError("disjoint-band read-off disagrees with ground truth")
-    return ok
+        A = _receiver_output(cfg, units.reshape(-1, cfg.K, n_d), j).T
+        own = slice(j * n_d, (j + 1) * n_d)
+        if rank_mod_p(A, 2) != n_d + rank_mod_p(np.delete(A, own, axis=1), 2):
+            return False
+        # disjoint bands: the direct read-off must be the own bits alone
+        if cfg.very_strong and np.any(A[:n_d] != units[own]):
+            raise AssertionError("disjoint-band read-off disagrees with ground truth")
+    return True
 
 
 def level_diagram(cfg: DetChannelConfig) -> str:

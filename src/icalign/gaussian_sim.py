@@ -243,8 +243,6 @@ def report_csv_rows(report: SimulationReport) -> list[dict]:
     bounds = report.block_bounds
     for b in range(len(bounds) - 1):
         count = int(bounds[b + 1] - bounds[b])
-        if count == 0:
-            continue
         for j in range(report.config.K):
             ie = int(report.block_intf_errors[b, j])
             me = int(report.block_msg_errors[b, j])

@@ -11,6 +11,9 @@
 - `all_inputs` and `collision_capacity_check`: every bit input of a
   deterministic channel, and zero-error decodability decided by looking
   for colliding outputs among them.
+- `exhaustive_capacity_check`: the same decision vectorized over all
+  2^(K*n_d) input tuples at once, as `det_capacity_check` made it before
+  its GF(2) rank test; usable up to about 20 input bits.
 - `replay_monte_carlo`: the error counts of `run_monte_carlo`, replayed
   trial by trial through the public decoders of each mode.
 """
@@ -22,7 +25,7 @@ import math
 
 import numpy as np
 
-from icalign.det_channel import det_output
+from icalign.det_channel import _receiver_output, det_output
 from icalign.gaussian_sim import (
     channel_output,
     decode_interference_sum,
@@ -141,6 +144,38 @@ def collision_capacity_check(cfg) -> bool:
         for j in range(cfg.K):
             own_bits_by_output[j].setdefault(tuple(y[j]), set()).add(tuple(x[j]))
     return all(len(own) == 1 for seen in own_bits_by_output for own in seen.values())
+
+
+def _all_input_bits(cfg) -> np.ndarray:
+    """(2^(K*n_d), K, n_d) bit array covering every input tuple."""
+    total_bits = cfg.K * cfg.n_d
+    t = np.arange(1 << total_bits, dtype=np.uint32)[:, None]
+    bits = ((t >> np.arange(total_bits, dtype=np.uint32)) & 1).astype(np.uint8)
+    return bits.reshape(-1, cfg.K, cfg.n_d)
+
+
+def exhaustive_capacity_check(cfg) -> bool:
+    """Receiver j is zero-error iff no two of all input tuples with different
+    own bits collide on y_j; True when every receiver is.  When the level
+    bands are disjoint, the own-bit band of every output is also checked
+    against the inputs."""
+    bits = _all_input_bits(cfg)
+    n_d = cfg.n_d
+    level_weights = 1 << np.arange(cfg.q, dtype=np.int64)
+    ok = True
+    for j in range(cfg.K):
+        y = _receiver_output(cfg, bits, j)
+        y_int = y.astype(np.int64) @ level_weights
+        own_int = bits[:, j, :].astype(np.int64) @ level_weights[:n_d]
+        keys = y_int << n_d | own_int
+        if np.unique(keys).size != np.unique(y_int).size:
+            ok = False
+            break
+        if cfg.very_strong:
+            # disjoint bands: the direct read-off must match ground truth
+            if np.any(y[:, :n_d] != bits[:, j, :]):
+                raise AssertionError("disjoint-band read-off disagrees with ground truth")
+    return ok
 
 
 def replay_monte_carlo(config, cb, trials: int, mode: str):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import all_inputs, collision_capacity_check
+from oracles import all_inputs, collision_capacity_check, exhaustive_capacity_check
 
 from icalign.det_channel import (
     DetChannelConfig,
@@ -45,6 +45,20 @@ def test_output_validates_shape_and_bits():
         det_output(cfg, [[1, 0, 0], [0, 1, 1]])
     with pytest.raises(ValueError):
         det_output(cfg, [[2, 0], [0, 1]])
+
+
+def test_det_output_is_gf2_linear():
+    # the premise of the rank test in det_capacity_check
+    rng = np.random.default_rng(13)
+    for K in range(2, 7):
+        for n_d in range(1, 5):
+            for n_c in range(0, 12):
+                cfg = DetChannelConfig(K=K, n_d=n_d, n_c=n_c)
+                assert not det_output(cfg, np.zeros((K, n_d), dtype=int)).any()
+                for _ in range(4):
+                    x, x2 = rng.integers(0, 2, size=(2, K, n_d))
+                    assert np.array_equal(det_output(cfg, x ^ x2),
+                                          det_output(cfg, x) ^ det_output(cfg, x2)), (K, n_d, n_c)
 
 
 def test_no_interference_baseline():
@@ -163,3 +177,14 @@ def test_capacity_check_matches_brute_force_on_det_output():
                 cfg = DetChannelConfig(K=K, n_d=n_d, n_c=n_c)
                 expected = collision_capacity_check(cfg)
                 assert det_capacity_check(cfg) == expected, (K, n_d, n_c)
+
+
+def test_capacity_check_matches_exhaustive_oracle():
+    # the rank test against the enumeration of all 2^(K*n_d) input tuples
+    cfgs = [DetChannelConfig(K=K, n_d=n_d, n_c=n_c)
+            for K in range(2, 7) for n_d in range(1, 5) for n_c in range(0, 12)
+            if K * n_d <= 16]
+    cfgs += [DetChannelConfig(K=5, n_d=4, n_c=7), DetChannelConfig(K=5, n_d=4, n_c=8)]
+    assert len(cfgs) == 206
+    for cfg in cfgs:
+        assert det_capacity_check(cfg) == exhaustive_capacity_check(cfg), cfg
