@@ -18,7 +18,6 @@ from .gaussian_sim import (
     ChannelConfig,
     LoeligerBound,
     SimulationReport,
-    TrialResult,
     channel_output,
     decode_interference_sum,
     encode,
@@ -61,6 +60,7 @@ from .zp_codes import (
     lattice_coords,
     lattice_from_text,
     lattice_to_text,
+    same_lattice_point,
     sample_code,
 )
 

@@ -183,6 +183,8 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError(f"unknown mode {mode!r}")
         if mode == "no_interference" and any(a2 != 0 for a2 in params["a2"]):
             raise ConfigError("no_interference mode requires a2 = 0")
+        if mode != "no_interference" and 0 in params["a2"]:
+            raise ConfigError(f"{mode} mode requires a2 != 0")
 
     name = params.pop("name", "experiment")
     params.pop("subcommand")
@@ -221,6 +223,9 @@ class _CodebookKey(NamedTuple):
 
 def _codebook_key(params: dict, seed: int) -> _CodebookKey:
     P = params["P"]
+    Pprime = params.get("Pprime", P / 4.0)
+    if Pprime >= P:
+        raise ConfigError(f"the shell needs Pprime < P, got Pprime = {Pprime!r} at P = {P!r}")
     c1 = regime.interference_free_capacity(P)
     R = params["R"] if "R" in params else params["R_frac"] * c1
     rp = params.get("Rprime", "auto")
@@ -231,7 +236,7 @@ def _codebook_key(params: dict, seed: int) -> _CodebookKey:
         if rp <= R:
             raise ConfigError(f"Rprime = auto needs R < 0.5*log2(1+P) = {c1!r}, "
                               f"got R = {R!r} at P = {P!r}")
-    return _CodebookKey(params["n"], P, params.get("Pprime", P / 4.0), params.get("p", 5),
+    return _CodebookKey(params["n"], P, Pprime, params.get("p", 5),
                         R, rp, params.get("shift_trials", 64), seed)
 
 
@@ -245,9 +250,7 @@ def _build_codebook(key: _CodebookKey):
 def _simulate_point(params: dict, key: _CodebookKey, spec: ExperimentSpec,
                     cb) -> tuple[dict, gaussian_sim.SimulationReport]:
     a = math.sqrt(params["a2"])
-    config = gaussian_sim.ChannelConfig(
-        K=params["K"], a=a, P=key.P, n=key.n, seed=spec.seed
-    )
+    config = gaussian_sim.ChannelConfig(K=params["K"], a=a, seed=spec.seed)
     mode = params.get("mode", "two_stage")
     report = gaussian_sim.run_monte_carlo(config, cb, spec.trials, mode=mode)
     row = {
@@ -255,8 +258,8 @@ def _simulate_point(params: dict, key: _CodebookKey, spec: ExperimentSpec,
         "Pprime": key.Pprime, "n": key.n,
         "p": key.p, "R": key.R, "Rprime": cb.R_prime,
         "mode": mode, "trials": spec.trials, "seed": spec.seed,
-        "codebook_size": report.codebook_size,
-        "message_count": report.message_count,
+        "codebook_size": len(cb),
+        "message_count": cb.message_count,
         "shortfall": cb.shortfall,
         "intf_err_rate": float(np.mean(report.intf_error_rate)),
         "msg_err_rate": float(np.mean(report.msg_error_rate)),
@@ -331,7 +334,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     Grid points run serially.  `threads` is ignored: it stays only because
     perfbench/run.py passes it, until ROADMAP item 1 drops it there.
     Returns (rows, written_paths).  Failures raise ExperimentError naming
-    the grid point; a ConfigError (Rprime = auto with no midpoint) names it too.
+    the grid point; a ConfigError (a shell with Pprime >= P, or Rprime = auto
+    with no midpoint) names it too.
     """
     points = grid_points(spec)
     if not points:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +23,8 @@ from .lattice_geometry import (
     nearest_codeword,
     nearest_lattice_point,
 )
-from .zp_codes import ConstructionALattice, enumerate_codewords, is_lattice_point, lattice_coords
+from .zp_codes import (ConstructionALattice, enumerate_codewords, is_lattice_point,
+                       same_lattice_point)
 
 TRIAL_STREAM = 2
 BLOCK_COUNT = 10
@@ -36,36 +37,19 @@ class ChannelConfig:
     """One symmetric Gaussian interference channel instance.
 
     Direct gains are 1, every cross gain is `a`, noise is i.i.d. zero-mean
-    unit-variance Gaussian per dimension.
+    unit-variance Gaussian per dimension.  The block length n and the power
+    P belong to the codebook a run is given (cb.lattice.n, cb.shell.P).
     """
 
     K: int
     a: float
-    P: float
-    n: int
     seed: int
-    noise_variance: float = field(default=1.0, init=False)
 
     def __post_init__(self):
         if self.K < 2:
             raise ValueError("K must be >= 2")
-        if self.P <= 0:
-            raise ValueError("P must be positive")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-
-
-@dataclass
-class TrialResult:
-    """Per-receiver outcome of one decoded channel use.
-
-    The error flags are None when the caller gave no truth to judge by.
-    """
-
-    interference_error: bool | None
-    message_error: bool | None
 
 
 class LoeligerBound(NamedTuple):
@@ -112,31 +96,25 @@ def decode_interference_sum(
     return nearest_lattice_point(lat, y_t, scale=a, codewords=codewords)
 
 
-def two_stage_decode(
-    cb: Codebook,
-    a: float,
-    K: int,
-    y,
-    true_interference=None,
-    true_message: int | None = None,
-) -> tuple[int, TrialResult]:
+def two_stage_decode(cb: Codebook, a: float, K: int, y) -> tuple[np.ndarray, int]:
     """Decode the aligned interference sum, cancel it, then decode the message.
 
-    After a correct stage 1 the residual y - (K-1)*a*s - t_hat equals
-    x_j + z_j exactly.  A stage-1 error is not detected; stage 2 proceeds
-    on the wrong residual and the resulting message error is counted.
-    Given the true interference point (of a*Lambda), stage 1 is judged by
-    integer lattice coordinates (zp_codes.lattice_coords at scale a), so
-    the verdict is exact at any gain a.
+    Returns (t_hat, m_hat): the decoded point of a*Lambda and the message
+    index.  After a correct stage 1 the residual y - (K-1)*a*s - t_hat
+    equals x_j + z_j exactly.  A stage-1 error is not detected; stage 2
+    proceeds on the wrong residual.  The caller judges stage 1 with
+    zp_codes.same_lattice_point(cb.lattice, t_hat, t, a), exact at any a.
     """
-    return _receive(cb, a, K, y, "two_stage", None, true_interference, true_message)
+    return _receive(cb, a, K, y, "two_stage")
 
 
-def _receive(
-    cb: Codebook, a: float, K: int, y, mode: str, codewords=None, true_interference=None,
-    true_message=None,
-) -> tuple[int | None, TrialResult]:
-    """two_stage_decode for any of MODES; no_interference has no stage 1."""
+def _receive(cb: Codebook, a: float, K: int, y, mode: str,
+             codewords=None) -> tuple[np.ndarray | None, int | None]:
+    """two_stage_decode for any of MODES, as (t_hat, m_hat).
+
+    t_hat is None in no_interference (no stage 1); m_hat is None when
+    lattice_only decodes a point outside the codebook.
+    """
     y = np.asarray(y, dtype=float)
     t_hat, residual = None, y
     if mode != "no_interference":
@@ -146,12 +124,7 @@ def _receive(
         m_hat = lattice_only_decode(cb, residual, codewords=codewords)
     else:
         m_hat, _ = nearest_codeword(cb, residual)
-    intf_err = None
-    if true_interference is not None:
-        intf_err = bool((lattice_coords(cb.lattice, t_hat, a)
-                         != lattice_coords(cb.lattice, true_interference, a)).any())
-    msg_err = None if true_message is None else (m_hat != true_message)
-    return m_hat, TrialResult(intf_err, msg_err)
+    return t_hat, m_hat
 
 
 def lattice_only_decode(cb: Codebook, y, codewords: np.ndarray | None = None) -> int | None:
@@ -186,15 +159,17 @@ class SimulationReport:
     """Aggregated error statistics for one Monte Carlo run.
 
     Rates, confidence half-widths and effective-noise statistics are
-    per-user arrays of length K.  wall_clock stays in memory only; the
-    serialized form excludes it so reruns are byte-identical.
+    per-user arrays of length K.  `codebook` is the full codebook the run
+    was given (not a copy); it supplies n, P, the codebook size and the
+    message count.
+    wall_clock stays in memory only; the serialized form excludes it so
+    reruns are byte-identical.
     """
 
     config: ChannelConfig
     mode: str
     trials: int
-    codebook_size: int
-    message_count: int
+    codebook: Codebook
     intf_error_rate: np.ndarray
     msg_error_rate: np.ndarray
     intf_ci_half_width: np.ndarray
@@ -212,14 +187,14 @@ class SimulationReport:
     wall_clock: float
 
     def to_dict(self) -> dict:
-        c = self.config
+        c, cb = self.config, self.codebook
         return {
-            "config": {"K": c.K, "a": c.a, "P": c.P, "n": c.n, "seed": c.seed,
-                       "noise_variance": c.noise_variance},
+            "config": {"K": c.K, "a": c.a, "P": cb.shell.P, "n": cb.lattice.n, "seed": c.seed,
+                       "noise_variance": 1.0},
             "mode": self.mode,
             "trials": self.trials,
-            "codebook_size": self.codebook_size,
-            "message_count": self.message_count,
+            "codebook_size": len(cb),
+            "message_count": cb.message_count,
             "intf_error_rate": [float(x) for x in self.intf_error_rate],
             "msg_error_rate": [float(x) for x in self.msg_error_rate],
             "intf_ci_half_width": [float(x) for x in self.intf_ci_half_width],
@@ -246,13 +221,12 @@ def report_csv_rows(report: SimulationReport) -> list[dict]:
         for j in range(report.config.K):
             ie = int(report.block_intf_errors[b, j])
             me = int(report.block_msg_errors[b, j])
-            rate = me / count
             rows.append({
                 "trial_block": b,
                 "user": j,
                 "intf_err_rate": ie / count,
-                "msg_err_rate": rate,
-                "ci_half_width": 1.96 * math.sqrt(rate * (1.0 - rate) / count),
+                "msg_err_rate": me / count,
+                "ci_half_width": float(_ci_half_width(me, count)),
             })
     return rows
 
@@ -277,24 +251,18 @@ def run_monte_carlo(
         raise ValueError("trials must be >= 1")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    lat = cb.lattice
-    if config.n != lat.n:
-        raise ValueError(f"config n={config.n} != lattice n={lat.n}")
-    if not math.isclose(config.P, cb.shell.P, rel_tol=1e-12):
-        raise ValueError(f"config P={config.P!r} != shell P={cb.shell.P!r}")
     if mode == "no_interference" and config.a != 0:
         raise ValueError("no_interference mode requires a = 0")
     if mode != "no_interference" and config.a == 0:
         raise ValueError(f"mode {mode!r} requires a != 0")
-    full_size = len(cb)
-    cb = message_codebook(cb)
+    full_cb, cb = cb, message_codebook(cb)
     M = cb.message_count
     if M < 1:
         raise ValueError("codebook has no usable messages")
 
-    K, n, a = config.K, config.n, config.a
+    lat = cb.lattice
+    K, n, a = config.K, lat.n, config.a
     codewords = enumerate_codewords(lat.code)
-    sigma = math.sqrt(config.noise_variance)
     block_count = min(BLOCK_COUNT, trials)
     bounds = np.array([round(trials * b / block_count) for b in range(block_count + 1)])
 
@@ -307,35 +275,33 @@ def run_monte_carlo(
     align_violations = 0
 
     t0 = time.perf_counter()
-    block = 0
-    for i in range(trials):
-        while i >= bounds[block + 1]:
-            block += 1
-        rng = np.random.default_rng([config.seed, TRIAL_STREAM, i])
-        msgs = rng.integers(0, M, size=K)
-        X = cb.codewords[msgs]
-        Z = sigma * rng.standard_normal((K, n))
-        Y = channel_output(X, a, Z)
-        eff = ((X + Z) ** 2).mean(axis=1)  # |x_j + z_j|^2 / n per receiver
-        eff_sum += eff
-        eff_sumsq += eff * eff
-        lambdas = X - cb.shift
-        lam_total = lambdas.sum(axis=0)
-        for j in range(K):
-            true_sum = None
-            if mode != "no_interference":
-                true_sum = a * (lam_total - lambdas[j])
-                align_checks += 1
-                if not is_lattice_point(lat, true_sum, scale=a):
-                    align_violations += 1
-            _, res = _receive(cb, a, K, Y[j], mode, codewords, true_sum, msgs[j])
-            intf_err, msg_err = res.interference_error, res.message_error
-            if intf_err:
-                blk_intf[block, j] += 1
-            if msg_err:
-                blk_msg[block, j] += 1
-                if not intf_err:
-                    msg_errors_intf_ok[j] += 1
+    for block in range(block_count):
+        for i in range(bounds[block], bounds[block + 1]):
+            rng = np.random.default_rng([config.seed, TRIAL_STREAM, i])
+            msgs = rng.integers(0, M, size=K)
+            X = cb.codewords[msgs]
+            Z = rng.standard_normal((K, n))
+            Y = channel_output(X, a, Z)
+            eff = ((X + Z) ** 2).mean(axis=1)  # |x_j + z_j|^2 / n per receiver
+            eff_sum += eff
+            eff_sumsq += eff * eff
+            lambdas = X - cb.shift
+            lam_total = lambdas.sum(axis=0)
+            for j in range(K):
+                t_hat, m_hat = _receive(cb, a, K, Y[j], mode, codewords)
+                intf_err = False
+                if t_hat is not None:
+                    true_sum = a * (lam_total - lambdas[j])
+                    align_checks += 1
+                    if not is_lattice_point(lat, true_sum, scale=a):
+                        align_violations += 1
+                    intf_err = not same_lattice_point(lat, t_hat, true_sum, a)
+                if intf_err:
+                    blk_intf[block, j] += 1
+                if m_hat != msgs[j]:
+                    blk_msg[block, j] += 1
+                    if not intf_err:
+                        msg_errors_intf_ok[j] += 1
     wall = time.perf_counter() - t0
     intf_errors, msg_errors = blk_intf.sum(axis=0), blk_msg.sum(axis=0)
 
@@ -346,8 +312,7 @@ def run_monte_carlo(
         config=config,
         mode=mode,
         trials=trials,
-        codebook_size=full_size,
-        message_count=M,
+        codebook=full_cb,
         intf_error_rate=intf_errors / trials,
         msg_error_rate=msg_errors / trials,
         intf_ci_half_width=_ci_half_width(intf_errors, trials),

@@ -187,6 +187,15 @@ def lattice_coords(lat: ConstructionALattice, v, scale: float = 1.0) -> np.ndarr
     return np.rint(np.asarray(v, dtype=float) / (abs(scale) * lat.gamma)).astype(np.int64)
 
 
+def same_lattice_point(lat: ConstructionALattice, u, v, scale: float = 1.0) -> bool:
+    """True iff u and v have equal lattice_coords at `scale`.
+
+    The stage-1 verdict: exact at any scale.  A NaN coordinate casts to no
+    cell of a finite point, so it never matches one.
+    """
+    return bool((lattice_coords(lat, u, scale) == lattice_coords(lat, v, scale)).all())
+
+
 def is_lattice_point(lat: ConstructionALattice, v, scale: float = 1.0) -> bool:
     """True iff v belongs to scale * gamma * Lambda_C.
 

@@ -33,7 +33,7 @@ from icalign.gaussian_sim import (
     two_stage_decode,
 )
 from icalign.lattice_geometry import message_codebook, nearest_codeword
-from icalign.zp_codes import ConstructionALattice, enumerate_codewords, lattice_coords
+from icalign.zp_codes import ConstructionALattice, enumerate_codewords, same_lattice_point
 
 
 def _round_half_down(x: np.ndarray) -> np.ndarray:
@@ -182,12 +182,13 @@ def replay_monte_carlo(config, cb, trials: int, mode: str):
     """Per-user (intf_errors, msg_errors, msg_errors_intf_ok) of run_monte_carlo.
 
     Replays the per-trial substreams [seed, 2, i] and decodes each receiver
-    with the public decoder of `mode`.  Stage 1 is judged by integer lattice
-    coordinates at scale a, so the verdict is exact at any cross gain.
+    with the public decoder of `mode`.  Both stage-1 modes are judged by
+    zp_codes.same_lattice_point at scale a, as run_monte_carlo judges them.
     """
-    K, n, a = config.K, config.n, config.a
+    K, a = config.K, config.a
     mcb = message_codebook(cb)
     lat = mcb.lattice
+    n = lat.n
     intf = np.zeros(K, dtype=int)
     msg = np.zeros(K, dtype=int)
     msg_intf_ok = np.zeros(K, dtype=int)
@@ -200,17 +201,14 @@ def replay_monte_carlo(config, cb, trials: int, mode: str):
         for j in range(K):
             true_t = a * (lam.sum(axis=0) - lam[j])
             if mode == "two_stage":
-                m_hat, res = two_stage_decode(mcb, a, K, Y[j], true_interference=true_t)
-                intf_err = res.interference_error
+                t_hat, m_hat = two_stage_decode(mcb, a, K, Y[j])
             elif mode == "lattice_only":
                 t_hat = decode_interference_sum(lat, a, mcb.shift, K, Y[j])
-                intf_err = bool((lattice_coords(lat, t_hat, a)
-                                 != lattice_coords(lat, true_t, a)).any())
                 residual = Y[j] - (K - 1) * a * mcb.shift - t_hat
                 m_hat = lattice_only_decode(mcb, residual)
             else:
-                m_hat, _ = nearest_codeword(mcb, Y[j])
-                intf_err = False
+                t_hat, (m_hat, _) = None, nearest_codeword(mcb, Y[j])
+            intf_err = t_hat is not None and not same_lattice_point(lat, t_hat, true_t, a)
             msg_err = m_hat is None or m_hat != msgs[j]
             intf[j] += intf_err
             msg[j] += msg_err

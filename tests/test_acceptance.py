@@ -38,6 +38,7 @@ from icalign.zp_codes import (
     enumerate_codewords,
     fundamental_volume,
     is_lattice_point,
+    same_lattice_point,
     sample_code,
 )
 
@@ -258,7 +259,7 @@ def test_criterion_6_alignment_invariant_100k_trials():
     lat = ConstructionALattice(LinearCode(p=2, n=2, k=1, G=[[1, 1]]), 1.0)
     shell = ShapingShell(n=2, P=2.0, P_prime=0.0)
     cb = build_codebook(lat, [0.5, 0.5], shell, R=1.0)
-    config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=606)
+    config = ChannelConfig(K=3, a=4.0, seed=606)
     trials = 100_000
     rep = run_monte_carlo(config, cb, trials, mode="two_stage")
     ok = rep.alignment_violations == 0 and rep.alignment_checks == trials * 3
@@ -288,10 +289,8 @@ def test_criterion_7_noiseless_exactness():
         for j in range(K):
             lam = X - cb.shift
             true_t = a * (lam.sum(axis=0) - lam[j])
-            m_hat, res = two_stage_decode(
-                cb, a, K, Y[j], true_interference=true_t, true_message=msgs[j]
-            )
-            if res.interference_error or m_hat != msgs[j]:
+            t_hat, m_hat = two_stage_decode(cb, a, K, Y[j])
+            if not same_lattice_point(lat, t_hat, true_t, a) or m_hat != msgs[j]:
                 exact = False
         tuples += 1
     report(7, "noiseless-exactness", exact,
@@ -317,7 +316,7 @@ def test_criterion_8_finite_n_trends():
     errs_a = {}
     for a2 in (2.5, 8.0):
         rep = run_monte_carlo(
-            ChannelConfig(K=3, a=math.sqrt(a2), P=P, n=n, seed=8001), cb,
+            ChannelConfig(K=3, a=math.sqrt(a2), seed=8001), cb,
             trials, mode="two_stage")
         errs_a[a2] = float(rep.msg_error_rate.mean())
     ok_a = errs_a[8.0] < errs_a[2.5]
@@ -331,7 +330,7 @@ def test_criterion_8_finite_n_trends():
     errs_b = []
     for a2 in (4.0, 8.0, 16.0):
         rep = run_monte_carlo(
-            ChannelConfig(K=3, a=math.sqrt(a2), P=P, n=n, seed=8002), cb,
+            ChannelConfig(K=3, a=math.sqrt(a2), seed=8002), cb,
             trials, mode="two_stage")
         errs_b.append(float(rep.intf_error_rate.mean()))
     ok_b = errs_b[0] > errs_b[1] > errs_b[2]
@@ -349,7 +348,7 @@ def test_criterion_8_finite_n_trends():
         lat = design_lattice(n, Rp_c, shell.volume(), p=5, seed=0)
         _, cb = find_shift(lat, shell, R_c, trials=32, seed=0)
         rep = run_monte_carlo(
-            ChannelConfig(K=3, a=math.sqrt(P + 1), P=P, n=n, seed=8003), cb,
+            ChannelConfig(K=3, a=math.sqrt(P + 1), seed=8003), cb,
             trials, mode="lattice_only")
         errs_c.append(float(rep.msg_error_rate.mean()))
     ok_c = errs_c[0] > errs_c[1] > errs_c[2]

@@ -87,6 +87,10 @@ def test_parse_validates_subcommand_and_mode():
         parse_config(MINIMAL_SIM + "mode = telepathy\n")
     with pytest.raises(ConfigError, match="requires a2 = 0"):
         parse_config(MINIMAL_SIM + "mode = no_interference\n")
+    with pytest.raises(ConfigError, match="two_stage mode requires a2 != 0"):
+        parse_config(MINIMAL_SIM.replace("a2 = 4", "a2 = 4, 0"))
+    with pytest.raises(ConfigError, match="lattice_only mode requires a2 != 0"):
+        parse_config(MINIMAL_SIM.replace("a2 = 4", "a2 = 0") + "mode = lattice_only\n")
 
 
 def test_parse_missing_required_key():
@@ -460,6 +464,33 @@ def test_auto_rprime_without_midpoint_exits_2(tmp_path, capsys, keys, point, P, 
     assert f"grid point {point} " in err
     assert "Rprime = auto needs R < 0.5*log2(1+P)" in err
     assert f"got R = {R} at P = {P}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["two_stage", "lattice_only"])
+def test_zero_a2_with_a_stage1_mode_exits_2(tmp_path, capsys, mode):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(MINIMAL_SIM.replace("a2 = 4", "a2 = 4, 0") + f"mode = {mode}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{mode} mode requires a2 != 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("keys, point, Pprime, P", [
+    ({"Pprime": "1"}, 0, "1.0", "1.0"),  # Pprime = P
+    ({"Pprime": "2", "P": "3, 1"}, 1, "2.0", "1.0"),  # above P = 1 only
+])
+def test_pprime_not_below_p_exits_2(tmp_path, capsys, keys, point, Pprime, P):
+    lines = [ln for ln in MINIMAL_SIM.strip().splitlines() if ln.split(" =")[0] not in keys]
+    lines += [f"{k} = {v}" for k, v in keys.items()]
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"grid point {point} " in err
+    assert f"the shell needs Pprime < P, got Pprime = {Pprime} at P = {P}" in err
     assert not out.exists()
 
 

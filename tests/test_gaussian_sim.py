@@ -23,7 +23,7 @@ from icalign.lattice_geometry import (
     nearest_codeword,
 )
 from icalign.regime import interference_free_capacity
-from icalign.zp_codes import ConstructionALattice, LinearCode, design_lattice
+from icalign.zp_codes import ConstructionALattice, LinearCode, design_lattice, same_lattice_point
 
 
 def tiny_system():
@@ -145,7 +145,7 @@ def test_interference_errors_rarer_than_message_errors_far_above_threshold():
     shell = ShapingShell(n=n, P=P, P_prime=P / 4)
     lat = design_lattice(n, (R + c1) / 2, shell.volume(), p=5, seed=0)
     _, cb = find_shift(lat, shell, R, trials=32, seed=0)
-    config = ChannelConfig(K=3, a=4.0, P=P, n=n, seed=11)
+    config = ChannelConfig(K=3, a=4.0, seed=11)
     report = run_monte_carlo(config, cb, 10_000, mode="two_stage")
     assert float(report.intf_error_rate.mean()) < float(report.msg_error_rate.mean())
 
@@ -170,11 +170,8 @@ def test_two_stage_noiseless_exhaustive_all_triples(system, a):
         for j in range(K):
             lam = X - cb.shift
             true_t = a * (lam.sum(axis=0) - lam[j])
-            m_hat, res = two_stage_decode(
-                cb, a, K, Y[j], true_interference=true_t, true_message=msgs[j]
-            )
-            assert res.interference_error is False
-            assert res.message_error is False
+            t_hat, m_hat = two_stage_decode(cb, a, K, Y[j])
+            assert same_lattice_point(lat, t_hat, true_t, a)
             assert m_hat == msgs[j]
 
 
@@ -203,7 +200,7 @@ def test_lattice_only_never_beats_two_stage_paired():
     # nearest lattice point, hence also the nearest codeword, so with
     # paired seeds the error sets are nested
     lat, cb = tiny_system()
-    config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=77)
+    config = ChannelConfig(K=3, a=4.0, seed=77)
     r_two = run_monte_carlo(config, cb, 400, mode="two_stage")
     r_lat = run_monte_carlo(config, cb, 400, mode="lattice_only")
     assert np.all(r_lat.msg_error_rate >= r_two.msg_error_rate)
@@ -254,39 +251,37 @@ def test_bound_validates_inputs():
 
 def test_zero_trials_rejected():
     _, cb = tiny_system()
-    config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=1)
+    config = ChannelConfig(K=3, a=4.0, seed=1)
     with pytest.raises(ValueError):
         run_monte_carlo(config, cb, 0)
 
 
 def test_same_seed_identical_report():
     _, cb = tiny_system()
-    config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=123)
+    config = ChannelConfig(K=3, a=4.0, seed=123)
     r1 = run_monte_carlo(config, cb, 300, mode="two_stage")
     r2 = run_monte_carlo(config, cb, 300, mode="two_stage")
     assert np.array_equal(r1.msg_error_rate, r2.msg_error_rate)
     assert np.array_equal(r1.intf_error_rate, r2.intf_error_rate)
     assert np.array_equal(r1.block_msg_errors, r2.block_msg_errors)
     assert np.array_equal(r1.eff_noise_mean, r2.eff_noise_mean)
-    r3 = run_monte_carlo(ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=124), cb, 300)
+    r3 = run_monte_carlo(ChannelConfig(K=3, a=4.0, seed=124), cb, 300)
     assert not np.array_equal(r1.msg_error_rate, r3.msg_error_rate)
 
 
 def test_mode_config_consistency():
     _, cb = tiny_system()
     with pytest.raises(ValueError):
-        run_monte_carlo(ChannelConfig(K=3, a=1.0, P=2.0, n=2, seed=1), cb, 10,
+        run_monte_carlo(ChannelConfig(K=3, a=1.0, seed=1), cb, 10,
                         mode="no_interference")
     with pytest.raises(ValueError):
-        run_monte_carlo(ChannelConfig(K=3, a=0.0, P=2.0, n=2, seed=1), cb, 10,
+        run_monte_carlo(ChannelConfig(K=3, a=0.0, seed=1), cb, 10,
                         mode="two_stage")
-    with pytest.raises(ValueError):
-        run_monte_carlo(ChannelConfig(K=3, a=1.0, P=3.0, n=2, seed=1), cb, 10)
 
 
 def test_no_interference_baseline_reduces_to_nearest_codeword():
     _, cb = tiny_system()
-    config = ChannelConfig(K=2, a=0.0, P=2.0, n=2, seed=9)
+    config = ChannelConfig(K=2, a=0.0, seed=9)
     report = run_monte_carlo(config, cb, 50, mode="no_interference")
     # replay the trial substreams and check the decoding rule directly
     mcb = message_codebook(cb)
@@ -304,26 +299,18 @@ def test_no_interference_baseline_reduces_to_nearest_codeword():
     assert report.intf_error_rate.tolist() == [0.0, 0.0]
 
 
-def test_config_P_matches_shell_P_to_relative_tolerance():
-    lat = ConstructionALattice(LinearCode(p=2, n=2, k=1, G=[[1, 1]]), 0.3)
-    cb = build_codebook(lat, [0.15, 0.15], ShapingShell(n=2, P=0.3), R=0.5)
-    report = run_monte_carlo(ChannelConfig(K=3, a=4.0, P=0.1 + 0.2, n=2, seed=1), cb, 5)
-    assert report.trials == 5
-    with pytest.raises(ValueError, match=r"config P=0\.31 != shell P=0\.3\b"):
-        run_monte_carlo(ChannelConfig(K=3, a=4.0, P=0.31, n=2, seed=1), cb, 5)
-
-
 def test_stage1_compares_lattice_coordinates():
-    _, cb = tiny_system()
+    lat, cb = tiny_system()
     a, K = 4.0, 3
     X = cb.codewords[[0, 3, 5]]
     y = channel_output(X, a, np.zeros((3, 2)))[0]
     lam = X - cb.shift
     true_t = a * (lam[1] + lam[2])
-    cell = a * cb.lattice.gamma
+    cell = a * lat.gamma
+    t_hat, _ = two_stage_decode(cb, a, K, y)
 
     def intf_err(true):
-        return two_stage_decode(cb, a, K, y, true_interference=true)[1].interference_error
+        return not same_lattice_point(lat, t_hat, true, a)
 
     assert intf_err(true_t) is False
     for j in range(2):
@@ -347,7 +334,7 @@ def test_monte_carlo_agrees_with_public_decoders(mode, a):
     shell = ShapingShell(n=n, P=P, P_prime=P / 4)
     lat = design_lattice(n, 0.9, shell.volume(), p=3, seed=2)  # k = 1, 12 codewords
     _, cb = find_shift(lat, shell, 0.5, trials=16, seed=2)  # 4 of them carry messages
-    config = ChannelConfig(K=K, a=a, P=P, n=n, seed=seed)
+    config = ChannelConfig(K=K, a=a, seed=seed)
     report = run_monte_carlo(config, cb, trials, mode=mode)
     intf, msg, msg_intf_ok = replay_monte_carlo(config, cb, trials, mode)
     assert np.array_equal(report.intf_errors, intf)
@@ -364,14 +351,14 @@ def test_point_to_point_sanity_low_error():
     R = 0.25 * interference_free_capacity(P)
     lat = design_lattice(n, (R + interference_free_capacity(P)) / 2, shell.volume(), p=5, seed=3)
     shift, cb = find_shift(lat, shell, R, trials=32, seed=3)
-    config = ChannelConfig(K=2, a=0.0, P=P, n=n, seed=42)
+    config = ChannelConfig(K=2, a=0.0, seed=42)
     report = run_monte_carlo(config, cb, 1000, mode="no_interference")
     assert float(report.msg_error_rate.mean()) < 0.1
 
 
 def test_union_bound_bookkeeping_identity():
     _, cb = tiny_system()
-    config = ChannelConfig(K=3, a=2.0, P=2.0, n=2, seed=5)
+    config = ChannelConfig(K=3, a=2.0, seed=5)
     report = run_monte_carlo(config, cb, 500, mode="two_stage")
     # msg errors split exactly into (stage-1 wrong) and (stage-1 right but
     # stage-2 wrong); so rate(msg) <= rate(intf) + rate(msg | intf ok)
@@ -384,16 +371,16 @@ def test_union_bound_bookkeeping_identity():
 
 def test_effective_noise_power_bounded():
     _, cb = tiny_system()
-    config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=8)
+    config = ChannelConfig(K=3, a=4.0, seed=8)
     report = run_monte_carlo(config, cb, 2000, mode="two_stage")
     for j in range(3):
-        bound = config.P + 1.0 + 3.0 * report.eff_noise_stderr[j]
+        bound = cb.shell.P + 1.0 + 3.0 * report.eff_noise_stderr[j]
         assert report.eff_noise_mean[j] <= bound
 
 
 def test_alignment_invariant_counted():
     _, cb = tiny_system()
-    config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=21)
+    config = ChannelConfig(K=3, a=4.0, seed=21)
     report = run_monte_carlo(config, cb, 200, mode="two_stage")
     assert report.alignment_checks == 200 * 3
     assert report.alignment_violations == 0
@@ -403,7 +390,7 @@ def test_block_rows_schema():
     from icalign.gaussian_sim import report_csv_rows
 
     _, cb = tiny_system()
-    config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=2)
+    config = ChannelConfig(K=3, a=4.0, seed=2)
     report = run_monte_carlo(config, cb, 100, mode="two_stage")
     rows = report_csv_rows(report)
     assert len(rows) == 10 * 3
@@ -417,7 +404,7 @@ def test_block_rows_schema():
 @pytest.mark.parametrize("trials, blocks", [(7, 7), (100, 10)])
 def test_block_count_is_min_of_ten_and_trials(trials, blocks):
     _, cb = tiny_system()
-    config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=2)
+    config = ChannelConfig(K=3, a=4.0, seed=2)
     report = run_monte_carlo(config, cb, trials)
     assert len(report.block_bounds) == blocks + 1
     assert report.block_msg_errors.shape == (blocks, 3)
@@ -428,8 +415,43 @@ def test_report_to_dict_is_json_ready():
     import json
 
     _, cb = tiny_system()
-    config = ChannelConfig(K=3, a=4.0, P=2.0, n=2, seed=2)
+    config = ChannelConfig(K=3, a=4.0, seed=2)
     report = run_monte_carlo(config, cb, 50, mode="two_stage")
     text = json.dumps(report.to_dict(), sort_keys=True)
     assert "wall_clock" not in text
     assert json.loads(text)["trials"] == 50
+
+
+def test_readme_quick_start_binds_to_the_library():
+    # the library twin of the README flag test: parse the snippet, do not
+    # run its 10,000 trials; every icalign name it imports must exist and
+    # every call of one must bind to that callable's signature
+    import ast
+    import inspect
+    import os
+
+    import icalign
+
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    fence = "```python\n"
+    start = readme.index(fence, readme.index("## Library quick start")) + len(fence)
+    tree = ast.parse(readme[start:readme.index("```", start)])
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "icalign":
+            for alias in node.names:
+                assert hasattr(icalign, alias.name), alias.name
+                imported[alias.asname or alias.name] = getattr(icalign, alias.name)
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in imported:
+            name = node.func.id
+            assert not any(isinstance(arg, ast.Starred) for arg in node.args)
+            assert all(kw.arg is not None for kw in node.keywords)
+            try:
+                inspect.signature(imported[name]).bind(
+                    *node.args, **{kw.arg: kw.value for kw in node.keywords})
+            except TypeError as exc:
+                raise AssertionError(f"README line {node.lineno}: {name}: {exc}") from None
+            called.add(name)
+    assert called == set(imported)
