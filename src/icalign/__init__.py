@@ -16,11 +16,9 @@ from .det_channel import (
 )
 from .gaussian_sim import (
     ChannelConfig,
-    LoeligerBound,
     SimulationReport,
     channel_output,
     decode_interference_sum,
-    encode,
     lattice_only_decode,
     loeliger_error_bound,
     run_monte_carlo,
@@ -41,7 +39,6 @@ from .regime import (
     RegimeReport,
     alignment_threshold,
     classify,
-    gdof_check,
     interference_free_capacity,
     joint_decode_threshold,
     rate_constraints,
@@ -49,7 +46,6 @@ from .regime import (
     two_user_threshold,
 )
 from .zp_codes import (
-    CodeEnsemble,
     ConstructionALattice,
     EnumerationTooLarge,
     LinearCode,

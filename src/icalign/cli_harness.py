@@ -253,6 +253,7 @@ def _simulate_point(params: dict, key: _CodebookKey, spec: ExperimentSpec,
     config = gaussian_sim.ChannelConfig(K=params["K"], a=a, seed=spec.seed)
     mode = params.get("mode", "two_stage")
     report = gaussian_sim.run_monte_carlo(config, cb, spec.trials, mode=mode)
+    ci = gaussian_sim._ci_half_width
     row = {
         "K": params["K"], "a2": params["a2"], "P": key.P,
         "Pprime": key.Pprime, "n": key.n,
@@ -263,8 +264,8 @@ def _simulate_point(params: dict, key: _CodebookKey, spec: ExperimentSpec,
         "shortfall": cb.shortfall,
         "intf_err_rate": float(np.mean(report.intf_error_rate)),
         "msg_err_rate": float(np.mean(report.msg_error_rate)),
-        "intf_ci_half_width": float(np.mean(report.intf_ci_half_width)),
-        "msg_ci_half_width": float(np.mean(report.msg_ci_half_width)),
+        "intf_ci_half_width": float(np.mean(ci(report.intf_errors, spec.trials))),
+        "msg_ci_half_width": float(np.mean(ci(report.msg_errors, spec.trials))),
     }
     return row, report
 

@@ -60,13 +60,6 @@ class LoeligerBound(NamedTuple):
     decays: bool
 
 
-def encode(cb: Codebook, message_index: int) -> np.ndarray:
-    """Codeword for a message index; every entry satisfies |x|^2 <= nP."""
-    if not 0 <= message_index < len(cb):
-        raise IndexError(f"message index {message_index} outside codebook of {len(cb)}")
-    return cb.codewords[message_index].copy()
-
-
 def channel_output(X, a: float, noise) -> np.ndarray:
     """Y_j = X_j + a * sum_{k != j} X_k + Z_j, rowwise over a K x n matrix."""
     X = np.asarray(X, dtype=float)
@@ -156,49 +149,62 @@ def loeliger_error_bound(n: int, sigma_sq: float, V: float, a: float) -> Loelige
 
 @dataclass
 class SimulationReport:
-    """Aggregated error statistics for one Monte Carlo run.
+    """Error counts of one Monte Carlo run; every rate is derived from them.
 
-    Rates, confidence half-widths and effective-noise statistics are
-    per-user arrays of length K.  `codebook` is the full codebook the run
-    was given (not a copy); it supplies n, P, the codebook size and the
-    message count.
-    wall_clock stays in memory only; the serialized form excludes it so
-    reruns are byte-identical.
+    It stores counts only: per-block error counts (blocks x K; block b
+    covers trials [bounds[b], bounds[b+1]) of block_bounds(trials)),
+    msg_errors_intf_ok, the effective-noise mean and standard error per
+    user, and the alignment checks made and failed.  The per-user totals
+    intf_errors / msg_errors and the rates intf_error_rate /
+    msg_error_rate are properties; confidence half-widths are computed
+    where they are written.  `codebook` is the full codebook the run was
+    given (not a copy); it supplies n, P, the codebook size and the
+    message count.  wall_clock stays in memory only; the serialized form
+    excludes it so reruns are byte-identical.
     """
 
     config: ChannelConfig
     mode: str
     trials: int
     codebook: Codebook
-    intf_error_rate: np.ndarray
-    msg_error_rate: np.ndarray
-    intf_ci_half_width: np.ndarray
-    msg_ci_half_width: np.ndarray
-    msg_errors: np.ndarray
-    intf_errors: np.ndarray
+    block_intf_errors: np.ndarray  # blocks x K
+    block_msg_errors: np.ndarray  # blocks x K
     msg_errors_intf_ok: np.ndarray
     eff_noise_mean: np.ndarray
     eff_noise_stderr: np.ndarray
     alignment_checks: int
     alignment_violations: int
-    block_bounds: np.ndarray  # block b covers trials [bounds[b], bounds[b+1])
-    block_intf_errors: np.ndarray  # blocks x K
-    block_msg_errors: np.ndarray  # blocks x K
     wall_clock: float
 
+    @property
+    def intf_errors(self) -> np.ndarray:
+        return self.block_intf_errors.sum(axis=0)
+
+    @property
+    def msg_errors(self) -> np.ndarray:
+        return self.block_msg_errors.sum(axis=0)
+
+    @property
+    def intf_error_rate(self) -> np.ndarray:
+        return self.intf_errors / self.trials
+
+    @property
+    def msg_error_rate(self) -> np.ndarray:
+        return self.msg_errors / self.trials
+
     def to_dict(self) -> dict:
-        c, cb = self.config, self.codebook
+        c, cb, t = self.config, self.codebook, self.trials
         return {
             "config": {"K": c.K, "a": c.a, "P": cb.shell.P, "n": cb.lattice.n, "seed": c.seed,
                        "noise_variance": 1.0},
             "mode": self.mode,
-            "trials": self.trials,
+            "trials": t,
             "codebook_size": len(cb),
             "message_count": cb.message_count,
             "intf_error_rate": [float(x) for x in self.intf_error_rate],
             "msg_error_rate": [float(x) for x in self.msg_error_rate],
-            "intf_ci_half_width": [float(x) for x in self.intf_ci_half_width],
-            "msg_ci_half_width": [float(x) for x in self.msg_ci_half_width],
+            "intf_ci_half_width": [float(x) for x in _ci_half_width(self.intf_errors, t)],
+            "msg_ci_half_width": [float(x) for x in _ci_half_width(self.msg_errors, t)],
             "msg_errors_intf_ok": [int(x) for x in self.msg_errors_intf_ok],
             "eff_noise_mean": [float(x) for x in self.eff_noise_mean],
             "eff_noise_stderr": [float(x) for x in self.eff_noise_stderr],
@@ -212,10 +218,19 @@ def _ci_half_width(errors: np.ndarray, trials: int) -> np.ndarray:
     return 1.96 * np.sqrt(rate * (1.0 - rate) / trials)
 
 
+def block_bounds(trials: int) -> np.ndarray:
+    """Bounds of min(BLOCK_COUNT, trials) blocks of consecutive trials.
+
+    Block b covers trials [bounds[b], bounds[b+1]); every block is nonempty.
+    """
+    blocks = min(BLOCK_COUNT, trials)
+    return np.array([round(trials * b / blocks) for b in range(blocks + 1)])
+
+
 def report_csv_rows(report: SimulationReport) -> list[dict]:
     """Per-(block, user) rows: trial_block, user, rates, msg ci half-width."""
     rows = []
-    bounds = report.block_bounds
+    bounds = block_bounds(report.trials)
     for b in range(len(bounds) - 1):
         count = int(bounds[b + 1] - bounds[b])
         for j in range(report.config.K):
@@ -244,8 +259,8 @@ def run_monte_carlo(
     report.  Transmitters draw uniform messages from the rate-R message
     sub-codebook; receivers decode against that same sub-codebook.  Every
     trial also asserts the alignment invariant: the true interference sum
-    at each receiver is a member of a*Lambda.  Error counts are also kept
-    per block of consecutive trials, min(BLOCK_COUNT, trials) blocks.
+    at each receiver is a member of a*Lambda.  Error counts are kept per
+    block of consecutive trials, as block_bounds(trials) splits them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -263,8 +278,8 @@ def run_monte_carlo(
     lat = cb.lattice
     K, n, a = config.K, lat.n, config.a
     codewords = enumerate_codewords(lat.code)
-    block_count = min(BLOCK_COUNT, trials)
-    bounds = np.array([round(trials * b / block_count) for b in range(block_count + 1)])
+    bounds = block_bounds(trials)
+    block_count = len(bounds) - 1
 
     msg_errors_intf_ok = np.zeros(K, dtype=np.int64)
     eff_sum = np.zeros(K)
@@ -303,7 +318,6 @@ def run_monte_carlo(
                     if not intf_err:
                         msg_errors_intf_ok[j] += 1
     wall = time.perf_counter() - t0
-    intf_errors, msg_errors = blk_intf.sum(axis=0), blk_msg.sum(axis=0)
 
     mean = eff_sum / trials
     var = np.maximum(eff_sumsq / trials - mean**2, 0.0)
@@ -313,19 +327,12 @@ def run_monte_carlo(
         mode=mode,
         trials=trials,
         codebook=full_cb,
-        intf_error_rate=intf_errors / trials,
-        msg_error_rate=msg_errors / trials,
-        intf_ci_half_width=_ci_half_width(intf_errors, trials),
-        msg_ci_half_width=_ci_half_width(msg_errors, trials),
-        msg_errors=msg_errors,
-        intf_errors=intf_errors,
+        block_intf_errors=blk_intf,
+        block_msg_errors=blk_msg,
         msg_errors_intf_ok=msg_errors_intf_ok,
         eff_noise_mean=mean,
         eff_noise_stderr=stderr,
         alignment_checks=align_checks,
         alignment_violations=align_violations,
-        block_bounds=bounds,
-        block_intf_errors=blk_intf,
-        block_msg_errors=blk_msg,
         wall_clock=wall,
     )

@@ -70,16 +70,6 @@ def rate_constraints(P: float, a: float) -> tuple[float, float]:
     return c1, c2
 
 
-def gdof_check(SNR: float, INR: float) -> tuple[float, bool]:
-    """(log(INR)/log(SNR), flag at ratio >= 2): generalized-DoF regime test."""
-    if SNR <= 1:
-        raise ValueError("SNR must exceed 1")
-    if INR <= 0:
-        raise ValueError("INR must be positive")
-    ratio = math.log(INR) / math.log(SNR)
-    return ratio, ratio >= 2.0
-
-
 LABEL_ALIGNMENT = "alignment-very-strong"
 LABEL_THEOREM2 = "theorem2-half-bit"
 LABEL_BELOW = "not-very-strong"

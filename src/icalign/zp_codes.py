@@ -140,27 +140,6 @@ class ConstructionALattice:
         return self.code.k
 
 
-@dataclass(frozen=True, eq=False)
-class CodeEnsemble:
-    """Family of random systematic (n, k) codes over Z_p, indexed deterministically."""
-
-    p: int
-    n: int
-    k: int
-    samples: int
-    seed: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"need 0 <= k <= n, got n={self.n}, k={self.k}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-
-
 def enumerate_codewords(code: LinearCode) -> np.ndarray:
     """All p^k codewords as a (p^k, n) int array.
 
@@ -188,12 +167,18 @@ def lattice_coords(lat: ConstructionALattice, v, scale: float = 1.0) -> np.ndarr
 
 
 def same_lattice_point(lat: ConstructionALattice, u, v, scale: float = 1.0) -> bool:
-    """True iff u and v have equal lattice_coords at `scale`.
+    """True iff u and v are finite, below 2^51 cells at `scale`, with equal lattice_coords.
 
-    The stage-1 verdict: exact at any scale.  A NaN coordinate casts to no
-    cell of a finite point, so it never matches one.
+    The stage-1 verdict: exact at any scale.  A NaN, infinite or
+    out-of-range coordinate matches nothing, not even itself: past 2^51
+    cells a double no longer resolves half a cell, and past 2^63 the int64
+    cast maps every coordinate (and NaN) to one value.
     """
-    return bool((lattice_coords(lat, u, scale) == lattice_coords(lat, v, scale)).all())
+    pts = np.asarray([u, v], dtype=float)
+    if not np.abs(pts).max() < 2.0**51 * abs(scale) * lat.gamma:  # a NaN max compares False
+        return False
+    w = lattice_coords(lat, pts, scale)
+    return w[0].tolist() == w[1].tolist()
 
 
 def is_lattice_point(lat: ConstructionALattice, v, scale: float = 1.0) -> bool:
@@ -219,17 +204,18 @@ def fundamental_volume(lat: ConstructionALattice) -> float:
     return lat.gamma**lat.n * float(lat.p ** (lat.n - lat.k))
 
 
-def sample_code(ens: CodeEnsemble, index: int) -> LinearCode:
-    """Draw code `index` from the ensemble: G = [I_k | A], A uniform over Z_p.
+def sample_code(p: int, n: int, k: int, seed: int) -> LinearCode:
+    """Random systematic (n, k) code over Z_p: G = [I_k | A], A uniform over Z_p.
 
-    Systematic form forces rank k.  Deterministic given (seed, index).
+    Systematic form forces rank k.  A is drawn from [seed, CODE_STREAM, 0],
+    so the code is a function of (p, n, k, seed).  Bad arguments raise
+    ValueError: LinearCode checks p and n, the draw rejects a negative
+    seed and a k outside [0, n].
     """
-    if not 0 <= index < ens.samples:
-        raise ValueError(f"index {index} outside [0, {ens.samples})")
-    rng = np.random.default_rng([ens.seed, CODE_STREAM, index])
-    A = rng.integers(0, ens.p, size=(ens.k, ens.n - ens.k))
-    G = np.hstack([np.eye(ens.k, dtype=np.int64), A.astype(np.int64)])
-    return LinearCode(p=ens.p, n=ens.n, k=ens.k, G=G)
+    rng = np.random.default_rng([seed, CODE_STREAM, 0])
+    A = rng.integers(0, p, size=(k, n - k))
+    G = np.hstack([np.eye(k, dtype=np.int64), A.astype(np.int64)])
+    return LinearCode(p=p, n=n, k=k, G=G)
 
 
 def design_lattice(
@@ -255,7 +241,7 @@ def design_lattice(
     while k > 0 and p**k > ENUMERATION_CAP:
         k -= 1
     gamma = (V_target / p ** (n - k)) ** (1.0 / n)
-    code = sample_code(CodeEnsemble(p=p, n=n, k=k, samples=1, seed=seed), 0)
+    code = sample_code(p, n, k, seed)
     return ConstructionALattice(code=code, gamma=gamma)
 
 

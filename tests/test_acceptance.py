@@ -16,12 +16,18 @@ from oracles import brute_force_nearest
 
 from icalign.cli_harness import parse_config, run_experiment
 from icalign.det_channel import DetChannelConfig, det_capacity_check
-from icalign.gaussian_sim import ChannelConfig, run_monte_carlo, two_stage_decode
+from icalign.gaussian_sim import (
+    ChannelConfig,
+    channel_output,
+    run_monte_carlo,
+    two_stage_decode,
+)
 from icalign.lattice_geometry import (
     ShapingShell,
     build_codebook,
     find_shift,
     message_codebook,
+    nearest_codeword,
     nearest_lattice_point,
 )
 from icalign.regime import (
@@ -31,7 +37,6 @@ from icalign.regime import (
     rate_constraints,
 )
 from icalign.zp_codes import (
-    CodeEnsemble,
     ConstructionALattice,
     LinearCode,
     design_lattice,
@@ -178,8 +183,7 @@ def test_criterion_4_cvp_oracle_equivalence():
         n = int(rng.integers(1, 7))
         k = int(rng.integers(0, min(3, n) + 1))
         gamma = float(rng.uniform(0.4, 1.6))
-        code = sample_code(CodeEnsemble(p=p, n=n, k=k, samples=1,
-                                        seed=int(rng.integers(1 << 30))), 0)
+        code = sample_code(p, n, k, int(rng.integers(1 << 30)))
         lat = ConstructionALattice(code, gamma)
         t = rng.uniform(-1.5, 1.5, size=n) * gamma * p  # inside a 3-cell ball
         got = nearest_lattice_point(lat, t)
@@ -208,8 +212,7 @@ def test_criterion_5_lattice_algebra_properties():
         n = int(rng.integers(2, 7))
         k = int(rng.integers(0, min(3, n) + 1))
         gamma = float(rng.uniform(0.2, 2.0))
-        code = sample_code(CodeEnsemble(p=p, n=n, k=k, samples=1,
-                                        seed=int(rng.integers(1 << 30))), 0)
+        code = sample_code(p, n, k, int(rng.integers(1 << 30)))
         return ConstructionALattice(code, gamma)
 
     def member(lat):
@@ -396,3 +399,58 @@ def test_criterion_9_harness_determinism(tmp_path):
     report(9, "harness-determinism", same,
            f"{len(hashes['run1'])} CSV files byte-identical across 4 reruns")
     assert same, hashes
+
+
+# -------------------------------------------------------------- criterion 10
+
+
+def test_criterion_10_no_rate_penalty_once_stage1_right():
+    # the very strong regime costs no rate: after a right stage 1 the residual
+    # is x_j + z_j, so the two_stage receiver must decide what a receiver
+    # without interference decides on the same draws [seed, 2, i]
+    t0 = time.perf_counter()
+    n, P, K, seed, trials = 8, 1.0, 3, 5, 1000
+    c1 = interference_free_capacity(P)
+    R = 0.9 * c1
+    shell = ShapingShell(n=n, P=P, P_prime=P / 4)
+    lat = design_lattice(n, (R + c1) / 2, shell.volume(), p=5, seed=seed)
+    _, cb = find_shift(lat, shell, R, trials=32, seed=seed)
+    mcb = message_codebook(cb)
+    clean = run_monte_carlo(ChannelConfig(K=K, a=0.0, seed=seed), cb, trials,
+                            mode="no_interference")
+    draws = []  # (msgs, X, Z, no_interference decisions) of trial i
+    for i in range(trials):
+        rng = np.random.default_rng([seed, 2, i])
+        msgs = rng.integers(0, mcb.message_count, size=K)
+        X = mcb.codewords[msgs]
+        Z = rng.standard_normal((K, n))
+        m0 = np.array([nearest_codeword(mcb, y)[0] for y in channel_output(X, 0.0, Z)])
+        draws.append((msgs, X, Z, m0))
+    assert np.array_equal(sum(m0 != msgs for msgs, _, _, m0 in draws), clean.msg_errors)
+    flips, equal_msg_errors = {}, []
+    for a2 in (8.0, 1e8):  # the residual loses ~log10(a) digits; stay at a^2 <= 1e8
+        a = math.sqrt(a2)
+        rep = run_monte_carlo(ChannelConfig(K=K, a=a, seed=seed), cb, trials)
+        clean_err_intf_ok = np.zeros(K, dtype=np.int64)  # no_interference errs, stage 1 right
+        flips[a2] = 0
+        for msgs, X, Z, m0 in draws:
+            Y = channel_output(X, a, Z)
+            lam = X - mcb.shift
+            for j in range(K):
+                t_hat, m_hat = two_stage_decode(mcb, a, K, Y[j])
+                if same_lattice_point(lat, t_hat, a * (lam.sum(axis=0) - lam[j]), a):
+                    flips[a2] += m_hat != m0[j]
+                    clean_err_intf_ok[j] += m0[j] != msgs[j]
+        assert flips[a2] == 0, a2
+        assert np.array_equal(rep.msg_errors_intf_ok, clean_err_intf_ok), a2
+        if rep.intf_errors.sum() == 0:
+            assert np.array_equal(rep.msg_errors, clean.msg_errors), a2
+            equal_msg_errors.append(a2)
+    elapsed = time.perf_counter() - t0
+    first_flip = next((a2 for a2, f in flips.items() if f), None)
+    ok = first_flip is None and bool(equal_msg_errors)
+    report(10, "no-rate-penalty", ok,
+           f"{trials} paired trials x {K} receivers at a^2 = {', '.join(f'{x:g}' for x in flips)}; "
+           f"first a^2 with a flipped decision: {first_flip}; msg_errors equal to "
+           f"no_interference at a^2 = {equal_msg_errors}; {elapsed:.2f}s")
+    assert equal_msg_errors  # some a^2 has no stage-1 error

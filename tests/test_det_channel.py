@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from oracles import all_inputs, collision_capacity_check, exhaustive_capacity_check
@@ -10,8 +12,7 @@ from icalign.det_channel import (
     det_output,
     level_diagram,
 )
-from icalign.regime import gdof_check
-from icalign.zp_codes import EnumerationTooLarge
+from icalign.zp_codes import EnumerationTooLarge, rank_mod_p
 
 
 # ----------------------------------------------------------------- model
@@ -143,12 +144,14 @@ def test_interferer_sums_not_individually_decodable():
 
 
 def test_gdof_cross_module_identity():
+    # n_d, n_c levels stand for SNR = 2^(2 n_d), INR = 2^(2 n_c): the ratio is
+    # the generalized-DoF alpha = log(INR)/log(SNR), very strong is INR >= SNR^2
     for n_d in range(1, 4):
         for n_c in range(1, 7):
             cfg = DetChannelConfig(K=3, n_d=n_d, n_c=n_c)
-            ratio, flag = gdof_check(2.0 ** (2 * n_d), 2.0 ** (2 * n_c))
-            assert ratio == pytest.approx(cfg.gdof_ratio, rel=1e-12)
-            assert flag == (cfg.n_c >= 2 * cfg.n_d)
+            SNR, INR = 2.0 ** (2 * n_d), 2.0 ** (2 * n_c)
+            assert math.log(INR) / math.log(SNR) == pytest.approx(cfg.gdof_ratio, rel=1e-12)
+            assert (INR >= SNR**2) == cfg.very_strong
 
 
 def test_level_diagram_lists_all_receivers():
@@ -179,12 +182,31 @@ def test_capacity_check_matches_brute_force_on_det_output():
                 assert det_capacity_check(cfg) == expected, (K, n_d, n_c)
 
 
-def test_capacity_check_matches_exhaustive_oracle():
-    # the rank test against the enumeration of all 2^(K*n_d) input tuples
+def oracle_grid() -> list[DetChannelConfig]:
     cfgs = [DetChannelConfig(K=K, n_d=n_d, n_c=n_c)
             for K in range(2, 7) for n_d in range(1, 5) for n_c in range(0, 12)
             if K * n_d <= 16]
-    cfgs += [DetChannelConfig(K=5, n_d=4, n_c=7), DetChannelConfig(K=5, n_d=4, n_c=8)]
+    return cfgs + [DetChannelConfig(K=5, n_d=4, n_c=7), DetChannelConfig(K=5, n_d=4, n_c=8)]
+
+
+def test_capacity_check_matches_exhaustive_oracle():
+    # the rank test against the enumeration of all 2^(K*n_d) input tuples
+    cfgs = oracle_grid()
     assert len(cfgs) == 206
     for cfg in cfgs:
         assert det_capacity_check(cfg) == exhaustive_capacity_check(cfg), cfg
+
+
+def test_every_receiver_has_receiver_0s_rank_pair():
+    # receiver j's matrix A_j is receiver 0's with user blocks 0 and j swapped,
+    # so (rank2(A_j), rank2(A_j without j's own columns)) is one pair for all j
+    for cfg in oracle_grid():
+        K, n_d = cfg.K, cfg.n_d
+        units = np.eye(K * n_d, dtype=np.int64).reshape(-1, K, n_d)
+        outputs = np.stack([det_output(cfg, u) for u in units])  # (K*n_d, K, q)
+        pairs = []
+        for j in range(K):
+            A = outputs[:, j, :].T
+            own = slice(j * n_d, (j + 1) * n_d)
+            pairs.append((rank_mod_p(A, 2), rank_mod_p(np.delete(A, own, axis=1), 2)))
+        assert pairs == [pairs[0]] * K, cfg

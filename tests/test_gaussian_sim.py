@@ -7,11 +7,13 @@ from oracles import replay_monte_carlo
 
 from icalign.gaussian_sim import (
     ChannelConfig,
+    SimulationReport,
+    block_bounds,
     channel_output,
     decode_interference_sum,
-    encode,
     lattice_only_decode,
     loeliger_error_bound,
+    report_csv_rows,
     run_monte_carlo,
     two_stage_decode,
 )
@@ -52,19 +54,13 @@ def message_system():
 
 
 # ---------------------------------------------------------------- encode
-
-
-def test_encode_first_codeword_and_bounds():
-    _, cb = tiny_system()
-    assert np.array_equal(encode(cb, 0), cb.codewords[0])
-    with pytest.raises(IndexError):
-        encode(cb, len(cb))
+# message m is sent as its codeword cb.codewords[m]
 
 
 def test_encode_outputs_in_shell():
     _, cb = tiny_system()
     for m in range(len(cb)):
-        x = encode(cb, m)
+        x = cb.codewords[m]
         assert cb.shell.contains(x)
         assert (x**2).sum() <= cb.lattice.n * cb.shell.P + 1e-12
 
@@ -72,7 +68,7 @@ def test_encode_outputs_in_shell():
 def test_encode_decode_round_trip_noiseless():
     _, cb = tiny_system()
     for m in range(len(cb)):
-        idx, _ = nearest_codeword(cb, encode(cb, m))
+        idx, _ = nearest_codeword(cb, cb.codewords[m])
         assert idx == m
 
 
@@ -387,8 +383,6 @@ def test_alignment_invariant_counted():
 
 
 def test_block_rows_schema():
-    from icalign.gaussian_sim import report_csv_rows
-
     _, cb = tiny_system()
     config = ChannelConfig(K=3, a=4.0, seed=2)
     report = run_monte_carlo(config, cb, 100, mode="two_stage")
@@ -406,9 +400,47 @@ def test_block_count_is_min_of_ten_and_trials(trials, blocks):
     _, cb = tiny_system()
     config = ChannelConfig(K=3, a=4.0, seed=2)
     report = run_monte_carlo(config, cb, trials)
-    assert len(report.block_bounds) == blocks + 1
+    bounds = block_bounds(report.trials)
+    assert len(bounds) == blocks + 1
     assert report.block_msg_errors.shape == (blocks, 3)
-    assert np.all(np.diff(report.block_bounds) == trials // blocks)
+    assert np.all(np.diff(bounds) == trials // blocks)
+
+
+def test_report_stores_counts_and_derives_rates():
+    import dataclasses
+
+    _, cb = tiny_system()
+    # 20 trials in 10 blocks of 2; user 0 errs in stage 1 on 6 trials, user 1 on none
+    blk_intf = np.zeros((10, 2), dtype=np.int64)
+    blk_intf[:, 0] = [1, 0, 0, 2, 1, 0, 0, 0, 0, 2]
+    blk_msg = np.zeros((10, 2), dtype=np.int64)
+    blk_msg[0] = [2, 1]
+    blk_msg[5] = [0, 1]
+    report = SimulationReport(
+        config=ChannelConfig(K=2, a=4.0, seed=0), mode="two_stage", trials=20, codebook=cb,
+        block_intf_errors=blk_intf, block_msg_errors=blk_msg,
+        msg_errors_intf_ok=np.array([0, 2]), eff_noise_mean=np.array([2.5, 2.75]),
+        eff_noise_stderr=np.array([0.1, 0.2]), alignment_checks=40, alignment_violations=0,
+        wall_clock=0.0)
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "config", "mode", "trials", "codebook", "block_intf_errors", "block_msg_errors",
+        "msg_errors_intf_ok", "eff_noise_mean", "eff_noise_stderr", "alignment_checks",
+        "alignment_violations", "wall_clock"]
+    assert report.intf_errors.tolist() == [6, 0]
+    assert report.msg_errors.tolist() == [2, 2]
+    d = report.to_dict()
+    assert d["intf_error_rate"] == [0.3, 0.0]
+    assert d["msg_error_rate"] == [0.1, 0.1]
+    assert d["intf_ci_half_width"] == [1.96 * math.sqrt(0.3 * (1 - 0.3) / 20), 0.0]
+    assert d["msg_ci_half_width"] == [1.96 * math.sqrt(0.1 * (1 - 0.1) / 20)] * 2
+    rows = report_csv_rows(report)
+    assert len(rows) == 10 * 2
+    assert rows[0] == {"trial_block": 0, "user": 0, "intf_err_rate": 0.5,
+                       "msg_err_rate": 1.0, "ci_half_width": 0.0}
+    assert rows[6] == {"trial_block": 3, "user": 0, "intf_err_rate": 1.0,
+                       "msg_err_rate": 0.0, "ci_half_width": 0.0}
+    assert rows[11] == {"trial_block": 5, "user": 1, "intf_err_rate": 0.0, "msg_err_rate": 0.5,
+                        "ci_half_width": 1.96 * math.sqrt(0.5 * 0.5 / 2)}
 
 
 def test_report_to_dict_is_json_ready():
@@ -455,3 +487,24 @@ def test_readme_quick_start_binds_to_the_library():
                 raise AssertionError(f"README line {node.lineno}: {name}: {exc}") from None
             called.add(name)
     assert called == set(imported)
+
+
+def test_readme_lists_exactly_the_exported_names():
+    # each name README lists under its module is exported from that module,
+    # and icalign exports nothing README does not list
+    import inspect
+    import os
+    import re
+
+    import icalign
+
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    section = readme[readme.index("`icalign` exports these names"):
+                     readme.index("Everything is deterministic given the seeds")]
+    listed = {name: module
+              for module, names in re.findall(r"^- `(\w+)`: (.*(?:\n  .*)*)", section, re.M)
+              for name in re.findall(r"`(\w+)`", names)}
+    exported = {name: obj.__module__.removeprefix("icalign.")
+                for name, obj in vars(icalign).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert listed == exported

@@ -18,7 +18,6 @@ from icalign.lattice_geometry import (
     shell_volume,
 )
 from icalign.zp_codes import (
-    CodeEnsemble,
     ConstructionALattice,
     EnumerationTooLarge,
     LinearCode,
@@ -41,7 +40,7 @@ def random_lattice(rng, p_choices=(2, 3, 5), n_max=6, k_max=3):
     n = int(rng.integers(1, n_max + 1))
     k = int(rng.integers(0, min(k_max, n) + 1))
     gamma = float(rng.uniform(0.4, 1.6))
-    code = sample_code(CodeEnsemble(p=p, n=n, k=k, samples=1, seed=int(rng.integers(1 << 30))), 0)
+    code = sample_code(p, n, k, int(rng.integers(1 << 30)))
     return ConstructionALattice(code, gamma)
 
 
@@ -96,7 +95,7 @@ def test_cvp_fixed_point_is_itself():
 
 def test_cvp_matches_brute_force_oracle():
     rng = np.random.default_rng(11)
-    code = sample_code(CodeEnsemble(p=3, n=3, k=1, samples=1, seed=4), 0)
+    code = sample_code(3, 3, 1, 4)
     lat = ConstructionALattice(code, 0.8)
     for _ in range(100):
         t = rng.uniform(-1.5, 1.5, size=3) * lat.gamma * lat.p
@@ -150,9 +149,8 @@ def cvp_cases(seed):
               (2, 12, 11), (2, 12, 11), (3, 12, 7), (7, 6, 4), (5, 8, 0)]
     shapes += [(int(rng.choice([2, 3, 5, 7])), n, int(rng.integers(0, 4)))
                for n in rng.integers(3, 13, size=6)]
-    lattices = [ConstructionALattice(sample_code(CodeEnsemble(
-        p=p, n=n, k=k, samples=1, seed=int(rng.integers(1 << 30))), 0),
-        float(rng.uniform(0.4, 1.6))) for p, n, k in shapes]
+    lattices = [ConstructionALattice(sample_code(p, n, k, int(rng.integers(1 << 30))),
+                                     float(rng.uniform(0.4, 1.6))) for p, n, k in shapes]
     # non-systematic full-rank generator over Z_5
     lattices.append(ConstructionALattice(
         LinearCode(p=5, n=5, k=3, G=[[2, 1, 0, 3, 4], [1, 3, 4, 0, 2], [0, 2, 1, 1, 3]]), 0.9))
@@ -345,7 +343,7 @@ def test_find_shift_rate_zero_needs_single_point():
 def test_mean_codebook_size_matches_volume_ratio():
     # Monte Carlo average over 200 random shifts vs V_S / V at n=4
     rng = np.random.default_rng(41)
-    code = sample_code(CodeEnsemble(p=3, n=4, k=2, samples=1, seed=6), 0)
+    code = sample_code(3, 4, 2, 6)
     lat = ConstructionALattice(code, 1.0)
     shell = ShapingShell(n=4, P=4.0, P_prime=1.0)
     sizes = []

@@ -10,7 +10,6 @@ from icalign.regime import (
     alignment_threshold,
     classify,
     format_report,
-    gdof_check,
     interference_free_capacity,
     joint_decode_threshold,
     rate_constraints,
@@ -87,17 +86,12 @@ def test_rate_constraints_cross_exactly_at_alignment_threshold():
         assert lo < c1 < hi
 
 
-def test_gdof_check():
-    ratio, flag = gdof_check(4.0, 16.0)
-    assert ratio == 2.0 and flag
-    ratio, flag = gdof_check(4.0, 8.0)
-    assert ratio == 1.5 and not flag
-    # a^2 at the alignment threshold drives the ratio to 2 as P grows
+def test_alignment_threshold_tends_to_gdof_ratio_2():
+    # INR = a^2 P at the alignment threshold: log(INR)/log(SNR) -> 2, the
+    # generalized-DoF edge of the very strong regime, as P grows
     for P in [1e3, 1e6, 1e9]:
-        ratio, _ = gdof_check(P, alignment_threshold(P) * P)
+        ratio = math.log(alignment_threshold(P) * P) / math.log(P)
         assert abs(ratio - 2.0) < 10 / math.log(P)
-    with pytest.raises(ValueError):
-        gdof_check(1.0, 4.0)
 
 
 def test_thresholds_monotone_in_P_and_K():

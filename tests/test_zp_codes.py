@@ -1,11 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from icalign.zp_codes import (
     ENUMERATION_CAP,
-    CodeEnsemble,
     ConstructionALattice,
     EnumerationTooLarge,
     LinearCode,
@@ -16,6 +16,7 @@ from icalign.zp_codes import (
     lattice_from_text,
     lattice_to_text,
     rank_mod_p,
+    same_lattice_point,
     sample_code,
 )
 
@@ -43,7 +44,7 @@ def test_codeword_set_size_is_p_to_k():
         p = int(rng.choice([2, 3, 5]))
         n = int(rng.integers(2, 6))
         k = int(rng.integers(0, min(3, n) + 1))
-        code = sample_code(CodeEnsemble(p=p, n=n, k=k, samples=1, seed=int(rng.integers(1 << 30))), 0)
+        code = sample_code(p, n, k, int(rng.integers(1 << 30)))
         words = enumerate_codewords(code)
         assert len({tuple(w) for w in words}) == p**k
 
@@ -102,6 +103,22 @@ def test_membership_tolerates_float_noise():
     assert not is_lattice_point(lat, [1.0, 1.001])
 
 
+def test_same_lattice_point_needs_finite_points_below_2_51_cells():
+    lat = repetition_lattice()
+    nan = np.array([np.nan, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the guard answers before any int64 cast
+        assert not same_lattice_point(lat, nan, nan)
+        assert not same_lattice_point(lat, [1e30, 1.0], [-1e30, 1.0])
+        assert not same_lattice_point(lat, [1e30, 1.0], [1e30, 1.0])
+        assert not same_lattice_point(lat, [np.inf, 1.0], [np.inf, 1.0])
+        assert same_lattice_point(lat, [3.0, -1.0], [3.0 + 1e-9, -1.0])
+        assert not same_lattice_point(lat, [3.0, -1.0], [4.0, -1.0])
+        # the bound counts cells at the given scale: 2^52 is 2^50 cells of 4*gamma
+        assert same_lattice_point(lat, [2.0**52, 0.0], [2.0**52, 0.0], scale=4.0)
+        assert not same_lattice_point(lat, [2.0**52, 0.0], [2.0**52, 0.0])
+
+
 # ------------------------------------------------------- fundamental_volume
 
 
@@ -120,7 +137,7 @@ def test_volume_formula_randomized():
         n = int(rng.integers(1, 8))
         k = int(rng.integers(0, n + 1))
         gamma = float(rng.uniform(0.1, 3.0))
-        code = sample_code(CodeEnsemble(p=p, n=n, k=k, samples=1, seed=3), 0)
+        code = sample_code(p, n, k, 3)
         lat = ConstructionALattice(code, gamma)
         expected = math.exp(n * math.log(gamma) + (n - k) * math.log(p))
         assert fundamental_volume(lat) == pytest.approx(expected, rel=1e-12)
@@ -130,18 +147,28 @@ def test_volume_formula_randomized():
 
 
 def test_sample_code_deterministic():
-    ens = CodeEnsemble(p=5, n=6, k=3, samples=10, seed=99)
-    a = sample_code(ens, 4)
-    b = sample_code(ens, 4)
+    a = sample_code(5, 6, 3, 4)
+    b = sample_code(5, 6, 3, 4)
     assert np.array_equal(a.G, b.G)
-    c = sample_code(ens, 5)
+    c = sample_code(5, 6, 3, 5)
     assert not np.array_equal(a.G, c.G)
 
 
+@pytest.mark.parametrize("p, n, k, seed", [(4, 3, 1, 0), (5, 3, 4, 0), (5, 3, -1, 0),
+                                           (5, 3, 1, -1), (5, 0, 0, 0)])
+def test_sample_code_rejects_bad_arguments(p, n, k, seed):
+    with pytest.raises(ValueError):
+        sample_code(p, n, k, seed)
+
+
+def test_design_lattice_draws_the_code_of_its_seed():
+    lat = design_lattice(n=6, R_prime=0.5, V_S=50.0, p=5, seed=9)
+    assert np.array_equal(lat.code.G, sample_code(5, 6, lat.k, 9).G)
+
+
 def test_sample_code_systematic_and_full_rank():
-    ens = CodeEnsemble(p=3, n=5, k=2, samples=1000, seed=1)
-    for i in range(1000):
-        code = sample_code(ens, i)
+    for seed in range(1000):
+        code = sample_code(3, 5, 2, seed)
         assert np.array_equal(code.G[:, :2], np.eye(2, dtype=int))
         assert rank_mod_p(code.G, 3) == 2
 
@@ -152,10 +179,9 @@ def test_sample_code_coverage_uniform_over_reachable_vectors():
     # coverable iff its first k coordinates are nonzero; each coverable
     # vector appears with probability p^-(n-k) = 1/4 per sample.
     p, n, k, samples = 2, 4, 2, 500
-    ens = CodeEnsemble(p=p, n=n, k=k, samples=samples, seed=2024)
     counts = {}
-    for i in range(samples):
-        words = enumerate_codewords(sample_code(ens, i))
+    for seed in range(samples):
+        words = enumerate_codewords(sample_code(p, n, k, seed))
         nonzero = [tuple(w) for w in words if any(w)]
         assert len(nonzero) == p**k - 1
         for w in nonzero:
@@ -221,7 +247,7 @@ def test_closure_under_addition_and_negation():
         n = int(rng.integers(2, 7))
         k = int(rng.integers(0, min(3, n) + 1))
         gamma = float(rng.uniform(0.2, 2.0))
-        code = sample_code(CodeEnsemble(p=p, n=n, k=k, samples=1, seed=int(rng.integers(1 << 30))), 0)
+        code = sample_code(p, n, k, int(rng.integers(1 << 30)))
         lat = ConstructionALattice(code, gamma)
         u = random_lattice_member(lat, rng)
         v = random_lattice_member(lat, rng)
@@ -236,7 +262,7 @@ def test_coset_membership_consistency():
         n = int(rng.integers(2, 7))
         k = int(rng.integers(0, min(3, n) + 1))
         gamma = float(rng.uniform(0.2, 2.0))
-        code = sample_code(CodeEnsemble(p=p, n=n, k=k, samples=1, seed=int(rng.integers(1 << 30))), 0)
+        code = sample_code(p, n, k, int(rng.integers(1 << 30)))
         lat = ConstructionALattice(code, gamma)
         member = random_lattice_member(lat, rng)
         assert is_lattice_point(lat, member)
