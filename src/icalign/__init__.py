@@ -11,12 +11,10 @@ from .det_channel import (
     RegimeViolation,
     det_capacity_check,
     det_decode,
-    det_output,
     level_diagram,
 )
 from .gaussian_sim import (
     ChannelConfig,
-    SimulationReport,
     channel_output,
     decode_interference_sum,
     lattice_only_decode,
@@ -25,7 +23,6 @@ from .gaussian_sim import (
     two_stage_decode,
 )
 from .lattice_geometry import (
-    Codebook,
     ShapingShell,
     build_codebook,
     codebook_csv,
@@ -33,10 +30,8 @@ from .lattice_geometry import (
     message_codebook,
     nearest_codeword,
     nearest_lattice_point,
-    shell_volume,
 )
 from .regime import (
-    RegimeReport,
     alignment_threshold,
     classify,
     interference_free_capacity,

@@ -23,8 +23,9 @@ from .lattice_geometry import (
     nearest_codeword,
     nearest_lattice_point,
 )
-from .zp_codes import (ConstructionALattice, enumerate_codewords, is_lattice_point,
-                       same_lattice_point)
+from .zp_codes import ConstructionALattice, is_lattice_point, same_lattice_point
+# unused here: perfbench/tracer.py wraps this name in this module, until ROADMAP item 1
+from .zp_codes import enumerate_codewords  # noqa: F401
 
 TRIAL_STREAM = 2
 BLOCK_COUNT = 10
@@ -76,17 +77,17 @@ def decode_interference_sum(
     shift,
     K: int,
     y,
-    codewords: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stage 1: nearest point of a*Lambda to y after cancelling (K-1)*a*s.
 
     All transmitters share the shift s, so the receiver removes the known
-    (K-1)*a*s before lattice decoding at scale a.
+    (K-1)*a*s before lattice decoding at scale a.  The lattice's coset table
+    is built on its first decode and reused while it is the lattice decoded.
     """
     if a == 0:
         raise ValueError("a must be nonzero for interference decoding")
     y_t = np.asarray(y, dtype=float) - (K - 1) * a * np.asarray(shift, dtype=float)
-    return nearest_lattice_point(lat, y_t, scale=a, codewords=codewords)
+    return nearest_lattice_point(lat, y_t, scale=a)
 
 
 def two_stage_decode(cb: Codebook, a: float, K: int, y) -> tuple[np.ndarray, int]:
@@ -101,34 +102,36 @@ def two_stage_decode(cb: Codebook, a: float, K: int, y) -> tuple[np.ndarray, int
     return _receive(cb, a, K, y, "two_stage")
 
 
-def _receive(cb: Codebook, a: float, K: int, y, mode: str,
-             codewords=None) -> tuple[np.ndarray | None, int | None]:
+def _receive(cb: Codebook, a: float, K: int, y,
+             mode: str) -> tuple[np.ndarray | None, int | None]:
     """two_stage_decode for any of MODES, as (t_hat, m_hat).
 
     t_hat is None in no_interference (no stage 1); m_hat is None when
-    lattice_only decodes a point outside the codebook.
+    lattice_only decodes a point outside the codebook.  The Monte Carlo
+    loop and the public decoders share this path and the lattice's one
+    coset table.
     """
     y = np.asarray(y, dtype=float)
     t_hat, residual = None, y
     if mode != "no_interference":
-        t_hat = decode_interference_sum(cb.lattice, a, cb.shift, K, y, codewords=codewords)
+        t_hat = decode_interference_sum(cb.lattice, a, cb.shift, K, y)
         residual = y - (K - 1) * a * cb.shift - t_hat
     if mode == "lattice_only":
-        m_hat = lattice_only_decode(cb, residual, codewords=codewords)
+        m_hat = lattice_only_decode(cb, residual)
     else:
         m_hat, _ = nearest_codeword(cb, residual)
     return t_hat, m_hat
 
 
-def lattice_only_decode(cb: Codebook, y, codewords: np.ndarray | None = None) -> int | None:
+def lattice_only_decode(cb: Codebook, y) -> int | None:
     """Stage-2 replacement: unconstrained lattice decode of the residual.
 
     Decodes the codebook's lattice against (y - s), maps the point + s back
     to a codebook index; returns None when the decoded point falls outside
-    the codebook (counted as a message error by callers).
+    the codebook (counted as a message error by callers).  Repeated calls on
+    one codebook reuse its lattice's coset table.
     """
-    lam = nearest_lattice_point(cb.lattice, np.asarray(y, dtype=float) - cb.shift,
-                                codewords=codewords)
+    lam = nearest_lattice_point(cb.lattice, np.asarray(y, dtype=float) - cb.shift)
     return cb.index_of(lam + cb.shift)
 
 
@@ -277,7 +280,6 @@ def run_monte_carlo(
 
     lat = cb.lattice
     K, n, a = config.K, lat.n, config.a
-    codewords = enumerate_codewords(lat.code)
     bounds = block_bounds(trials)
     block_count = len(bounds) - 1
 
@@ -303,7 +305,7 @@ def run_monte_carlo(
             lambdas = X - cb.shift
             lam_total = lambdas.sum(axis=0)
             for j in range(K):
-                t_hat, m_hat = _receive(cb, a, K, Y[j], mode, codewords)
+                t_hat, m_hat = _receive(cb, a, K, Y[j], mode)
                 intf_err = False
                 if t_hat is not None:
                     true_sum = a * (lam_total - lambdas[j])

@@ -30,19 +30,6 @@ CODEBOOK_ENUM_CAP = 1 << 24
 SHIFT_STREAM = 1
 
 
-def shell_volume(n: int, P: float, P_prime: float = 0.0) -> float:
-    """Volume of {x in R^n : n*P' <= |x|^2 <= n*P}.
-
-    c_n [(nP)^(n/2) - (nP')^(n/2)] with c_n = pi^(n/2) / Gamma(n/2 + 1).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not P > P_prime >= 0:
-        raise ValueError(f"invalid shell: need P > P' >= 0, got P={P}, P'={P_prime}")
-    c_n = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    return c_n * ((n * P) ** (n / 2) - (n * P_prime) ** (n / 2))
-
-
 @dataclass(frozen=True, eq=False)
 class ShapingShell:
     """Spherical shell between radii sqrt(n*P') and sqrt(n*P)."""
@@ -52,33 +39,47 @@ class ShapingShell:
     P_prime: float = 0.0
 
     def __post_init__(self):
-        shell_volume(self.n, self.P, self.P_prime)  # validates
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if not self.P > self.P_prime >= 0:
+            raise ValueError(f"invalid shell: need P > P' >= 0, got P={self.P}, P'={self.P_prime}")
 
     @property
     def outer_radius(self) -> float:
         return math.sqrt(self.n * self.P)
 
     def volume(self) -> float:
-        return shell_volume(self.n, self.P, self.P_prime)
+        """c_n [(nP)^(n/2) - (nP')^(n/2)] with c_n = pi^(n/2) / Gamma(n/2 + 1)."""
+        n = self.n
+        c_n = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+        return c_n * ((n * self.P) ** (n / 2) - (n * self.P_prime) ** (n / 2))
 
     def contains(self, x) -> bool:
         r2 = float(np.sum(np.asarray(x, dtype=float) ** 2))
         return self.n * self.P_prime <= r2 <= self.n * self.P
 
 
-# (codewords, p, flat index) of the last codeword array decoded against; holding
-# the array itself keeps its id from being reused by another array.
-_flat_index_memo: tuple = (None, 0, None)
+# (lattice, codewords, flat index) of the last lattice whose cosets were tabulated.
+# Holding the lattice keeps its id from being reused by another lattice.  One
+# entry, not a cache on the lattice: callers keep codebooks (and their lattices)
+# alive, and every table they kept would stay in memory with them.
+_coset_memo: tuple = (None, None, None)
 
 
-def _flat_index(codewords: np.ndarray, p: int) -> np.ndarray:
-    """(p^k, n) index j*p + c_j of each coset's coordinates into an (n, p) table."""
-    global _flat_index_memo
-    memo = _flat_index_memo  # read once: another thread may replace it
-    if memo[0] is not codewords or memo[1] != p:
-        words = np.asarray(codewords, dtype=np.intp)
-        memo = _flat_index_memo = (codewords, p, words + p * np.arange(words.shape[1]))
-    return memo[2]
+def _coset_table(lat: ConstructionALattice) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (codewords, flat index) of lat's p^k cosets, built on first use.
+
+    codewords is enumerate_codewords(lat.code); flat[i, j] = j*p + codewords[i, j]
+    indexes coordinate j's cost in an (n, p) table.
+    """
+    global _coset_memo
+    memo = _coset_memo  # read once: another thread may replace it
+    if memo[0] is not lat:
+        words = enumerate_codewords(lat.code)
+        flat = words.astype(np.intp) + lat.p * np.arange(lat.n)
+        words.flags.writeable = flat.flags.writeable = False
+        memo = _coset_memo = (lat, words, flat)
+    return memo[1], memo[2]
 
 
 def nearest_lattice_point(
@@ -93,23 +94,22 @@ def nearest_lattice_point(
     scale*gamma*(c + p*round((target/(scale*gamma) - c)/p)) componentwise;
     the global argmin over cosets is exact.  Coordinate j depends only on
     c_j, so each coset's squared distance sums entries of one (n, p) table.
-    Ties break to the lexicographically smallest point.  `codewords` may
-    carry a precomputed enumeration to amortize repeated decodes against one
-    lattice; without it, enumerate_codewords raises EnumerationTooLarge past
-    ENUMERATION_CAP.
+    Ties break to the lexicographically smallest point.  The cosets come
+    from _coset_table, which enumerates them once per lattice (one lattice
+    at a time) and raises EnumerationTooLarge past ENUMERATION_CAP.
+    `codewords` is ignored: perfbench/cvp_probe.py still passes it, until
+    ROADMAP item 1 drops it there.
     """
     if scale == 0:
         raise ValueError("scale must be nonzero")
     t = np.asarray(target, dtype=float)
     if t.shape != (lat.n,):
         raise ValueError(f"target length {t.shape} != n={lat.n}")
-    if codewords is None:
-        codewords = enumerate_codewords(lat.code)
     cell = abs(scale) * lat.gamma
     r = np.arange(lat.p)
     # nearest integer with exact halves rounded down, so tied minimizers stay lex-smallest
     cand = cell * (r + lat.p * np.ceil((t[:, None] / cell - r) / lat.p - 0.5))
-    flat = _flat_index(codewords, lat.p)
+    _, flat = _coset_table(lat)
     d2 = ((cand - t[:, None]) ** 2).ravel()[flat].sum(axis=1)
     best = np.flatnonzero(d2 == d2.min())
     rows = cand.ravel()[flat[best]]
@@ -195,7 +195,7 @@ def build_codebook(
     s = np.asarray(shift, dtype=float)
     if s.shape != (lat.n,) or shell.n != lat.n:
         raise ValueError("shift/shell dimension mismatch with lattice")
-    cosets = enumerate_codewords(lat.code)
+    cosets, _ = _coset_table(lat)
     g, p, n = lat.gamma, lat.p, lat.n
     r_out = shell.outer_radius
     lo = np.ceil((-r_out - s) / (g * p) - cosets / p - 1e-9).astype(np.int64)

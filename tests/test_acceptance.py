@@ -428,7 +428,7 @@ def test_criterion_10_no_rate_penalty_once_stage1_right():
         draws.append((msgs, X, Z, m0))
     assert np.array_equal(sum(m0 != msgs for msgs, _, _, m0 in draws), clean.msg_errors)
     flips, equal_msg_errors = {}, []
-    for a2 in (8.0, 1e8):  # the residual loses ~log10(a) digits; stay at a^2 <= 1e8
+    for a2 in (8.0, 64.0, 1e8):  # the residual loses ~log10(a) digits; stay at a^2 <= 1e8
         a = math.sqrt(a2)
         rep = run_monte_carlo(ChannelConfig(K=K, a=a, seed=seed), cb, trials)
         clean_err_intf_ok = np.zeros(K, dtype=np.int64)  # no_interference errs, stage 1 right

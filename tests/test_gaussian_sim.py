@@ -339,6 +339,34 @@ def test_monte_carlo_agrees_with_public_decoders(mode, a):
     assert report.msg_errors.sum() > 0  # the replay compares real decisions
 
 
+def test_public_decoders_enumerate_each_lattice_once(monkeypatch):
+    # 100 public decodes on one codebook enumerate its lattice's cosets once
+    # and cache nothing on the lattice or the codebook, which callers keep
+    # alive (index_of's own table aside); the memo's arrays are read-only
+    from icalign import lattice_geometry
+
+    lat, cb = message_system()
+    other = ConstructionALattice(LinearCode(p=2, n=2, k=1, G=[[1, 1]]), 1.0)
+    lattice_geometry.nearest_lattice_point(other, np.zeros(2))  # memo now holds `other`
+    lat_vars, cb_vars = dict(vars(lat)), dict(vars(cb))
+    calls = []
+    enumerate_codewords = lattice_geometry.enumerate_codewords
+    monkeypatch.setattr(lattice_geometry, "enumerate_codewords",
+                        lambda code: calls.append(code) or enumerate_codewords(code))
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        y = 3 * rng.standard_normal(lat.n)
+        two_stage_decode(cb, 2.0, 3, y)
+        lattice_only_decode(cb, y)
+    assert len(calls) == 1 and calls[0] is lat.code
+    assert set(vars(lat)) == set(lat_vars) and set(vars(cb)) - set(cb_vars) <= {"_index_table"}
+    assert all(vars(obj)[k] is v for obj, before in ((lat, lat_vars), (cb, cb_vars))
+               for k, v in before.items())
+    words, flat = lattice_geometry._coset_table(lat)
+    assert not words.flags.writeable and not flat.flags.writeable
+    assert len(calls) == 1
+
+
 def test_point_to_point_sanity_low_error():
     # a = 0, R well below capacity: nearest-codeword decoding over a
     # well-separated message set should be reliable at n = 8

@@ -15,7 +15,6 @@ from icalign.lattice_geometry import (
     nearest_codeword,
     nearest_lattice_point,
     required_size,
-    shell_volume,
 )
 from icalign.zp_codes import (
     ConstructionALattice,
@@ -44,24 +43,24 @@ def random_lattice(rng, p_choices=(2, 3, 5), n_max=6, k_max=3):
     return ConstructionALattice(code, gamma)
 
 
-# ------------------------------------------------------------- shell_volume
+# ------------------------------------------------------------- ShapingShell
 
 
 def test_shell_volume_disk():
-    assert shell_volume(2, 1.0, 0.0) == pytest.approx(2 * math.pi, rel=1e-12)
+    assert ShapingShell(2, 1.0, 0.0).volume() == pytest.approx(2 * math.pi, rel=1e-12)
 
 
 def test_shell_volume_annulus():
-    assert shell_volume(2, 1.0, 0.5) == pytest.approx(math.pi, rel=1e-12)
+    assert ShapingShell(2, 1.0, 0.5).volume() == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_shell_volume_two_intervals():
-    assert shell_volume(1, 4.0, 1.0) == pytest.approx(2.0, rel=1e-12)
+    assert ShapingShell(1, 4.0, 1.0).volume() == pytest.approx(2.0, rel=1e-12)
 
 
 def test_shell_volume_invalid():
     with pytest.raises(ValueError):
-        shell_volume(2, 1.0, 1.0)
+        ShapingShell(2, 1.0, 1.0)
     with pytest.raises(ValueError):
         ShapingShell(n=3, P=0.5, P_prime=0.7)
 
@@ -178,12 +177,11 @@ def test_cvp_equals_coset_scan_byte_for_byte():
         for t in targets:
             want = coset_scan_nearest(lat, t, scale).tobytes()
             assert nearest_lattice_point(lat, t, scale).tobytes() == want
-            assert nearest_lattice_point(lat, t, scale, codewords=words).tobytes() == want
-    # alternate two lattices' arrays through the memo; some pairs share p, n and k
+    # alternate two lattices through the coset memo; some pairs share p, n and k
     for (lat_a, words_a, sa, ta), (lat_b, words_b, sb, tb) in zip(cases, cases[4:]):
         for x, y in zip(ta, tb):
-            got_a = nearest_lattice_point(lat_a, x, sa, codewords=words_a)
-            got_b = nearest_lattice_point(lat_b, y, sb, codewords=words_b)
+            got_a = nearest_lattice_point(lat_a, x, sa)
+            got_b = nearest_lattice_point(lat_b, y, sb)
             assert got_a.tobytes() == coset_scan_nearest(lat_a, x, sa, words_a).tobytes()
             assert got_b.tobytes() == coset_scan_nearest(lat_b, y, sb, words_b).tobytes()
 
@@ -194,10 +192,9 @@ def test_cvp_equals_coset_scan_byte_for_byte():
     got = [[], []]
 
     def decode(i):
-        lat, words, scale, targets = big[i]
+        lat, _, scale, targets = big[i]
         for _ in range(5):
-            got[i].append([nearest_lattice_point(lat, t, scale, codewords=words).tobytes()
-                           for t in targets])
+            got[i].append([nearest_lattice_point(lat, t, scale).tobytes() for t in targets])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
