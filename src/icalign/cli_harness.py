@@ -36,46 +36,25 @@ SWEEP_KEYS = {
     "lattice": (),
 }
 
-_COMMON_KEYS = ("name", "subcommand", "seed", "trials", "out")
-ALLOWED_KEYS = {
-    "regime": _COMMON_KEYS + ("K", "P", "a2"),
-    "simulate": _COMMON_KEYS
-    + ("K", "a2", "P", "Pprime", "n", "p", "R", "R_frac", "Rprime", "mode", "shift_trials"),
-    "det": _COMMON_KEYS + ("K", "n_d", "n_c"),
-    "lattice": _COMMON_KEYS + ("n", "p", "P", "Pprime", "R", "Rprime", "shift_trials"),
+# Each subcommand's keys: a key maps to its default, to REQUIRED, or to
+# None when it has no constant default (_codebook_key computes Pprime and,
+# from R_frac, R; simulate takes exactly one of R and R_frac).
+REQUIRED = object()
+_SPEC_DEFAULTS = {"name": "experiment", "seed": 0, "trials": 1000, "out": "."}
+_CODEBOOK_DEFAULTS = {"Pprime": None, "p": 5, "Rprime": "auto", "shift_trials": 64}
+KEYS = {
+    "regime": {"K": REQUIRED, "P": REQUIRED, "a2": REQUIRED},
+    "simulate": {"K": REQUIRED, "a2": REQUIRED, "P": REQUIRED, "n": REQUIRED,
+                 "R": None, "R_frac": None, **_CODEBOOK_DEFAULTS, "mode": "two_stage"},
+    "det": {"K": REQUIRED, "n_d": REQUIRED, "n_c": REQUIRED},
+    "lattice": {"n": REQUIRED, "P": REQUIRED, "R": REQUIRED, **_CODEBOOK_DEFAULTS},
 }
 
-REQUIRED_KEYS = {
-    "regime": ("K", "P", "a2"),
-    "simulate": ("K", "a2", "P", "n"),
-    "det": ("K", "n_d", "n_c"),
-    "lattice": ("n", "P", "R"),
-}
-
-# integer keys and their least value (p must also be prime; steps is the
-# --sweep STEPS bound, not a config key)
-_INT_KEYS = {"seed": 0, "trials": 1, "steps": 1, "K": 2, "n": 1, "p": 2,
-             "shift_trials": 1, "n_d": 1, "n_c": 0}
+# integer keys and their least value (p must also be prime)
+_INT_KEYS = {"seed": 0, "trials": 1, "K": 2, "n": 1, "p": 2, "shift_trials": 1,
+             "n_d": 1, "n_c": 0}
 _FLOAT_KEYS = {"P", "a2", "Pprime", "R", "R_frac", "Rprime"}
 _POSITIVE_KEYS = {"P", "Rprime"}  # the other float keys may be 0
-
-CSV_COLUMNS = {
-    "regime": ["K", "P", "a2", "two_user", "joint_decode", "alignment",
-               "capacity", "theorem2_rate", "label", "rate"],
-    "simulate": ["K", "a2", "P", "Pprime", "n", "p", "R", "Rprime", "mode",
-                 "trials", "seed", "codebook_size", "message_count", "shortfall",
-                 "intf_err_rate", "msg_err_rate",
-                 "intf_ci_half_width", "msg_ci_half_width"],
-    "det": ["K", "n_d", "n_c", "ratio", "zero_error"],
-    "lattice": ["p", "n", "k", "gamma", "volume", "R", "Rprime",
-                "codebook_size", "shortfall"],
-}
-
-SWEEP_CSV_COLUMNS = ["P", "two_user", "joint_decode_K", "alignment",
-                     "capacity", "theorem2_rate"]
-
-BLOCK_CSV_COLUMNS = ["grid_index", "trial_block", "user",
-                     "intf_err_rate", "msg_err_rate", "ci_half_width"]
 
 
 class ConfigError(ValueError):
@@ -109,6 +88,10 @@ def _range_rule(key: str, value) -> str | None:
 
 
 def _convert(key: str, raw: str, lineno: int):
+    if key == "name" and (raw in ("", ".", "..") or os.path.basename(raw) != raw):
+        # the name prefixes every output file, which must stay inside `out`
+        raise ConfigError(f"line {lineno}: name must be a file name with no path separator "
+                          f"and not '.' or '..', got {raw!r}")
     try:
         if key in _INT_KEYS:
             value = int(raw)
@@ -149,17 +132,15 @@ def parse_config(text: str) -> ExperimentSpec:
 
     if "subcommand" not in raw:
         raise ConfigError("missing required key 'subcommand'")
-    sub = raw["subcommand"][0]
+    sub, sub_line = raw.pop("subcommand")
     if sub not in SUBCOMMANDS:
-        raise ConfigError(
-            f"line {raw['subcommand'][1]}: unknown subcommand {sub!r}"
-        )
-    allowed = ALLOWED_KEYS[sub]
+        raise ConfigError(f"line {sub_line}: unknown subcommand {sub!r}")
+    keys = {**_SPEC_DEFAULTS, **KEYS[sub]}
     sweepable = SWEEP_KEYS[sub]
 
     params: dict = {}
     for key, (value, lineno) in raw.items():
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r} for subcommand {sub!r}")
         if "," in value:
             if key not in sweepable:
@@ -172,13 +153,16 @@ def parse_config(text: str) -> ExperimentSpec:
             v = _convert(key, value, lineno)
             params[key] = [v] if key in sweepable else v
 
-    for key in REQUIRED_KEYS[sub]:
+    for key, default in keys.items():
         if key not in params:
-            raise ConfigError(f"missing required key {key!r} for subcommand {sub!r}")
+            if default is REQUIRED:
+                raise ConfigError(f"missing required key {key!r} for subcommand {sub!r}")
+            if default is not None:
+                params[key] = default
     if sub == "simulate":
         if ("R" in params) == ("R_frac" in params):
             raise ConfigError("simulate needs exactly one of 'R' or 'R_frac'")
-        mode = params.get("mode", "two_stage")
+        mode = params["mode"]
         if mode not in gaussian_sim.MODES:
             raise ConfigError(f"unknown mode {mode!r}")
         if mode == "no_interference" and any(a2 != 0 for a2 in params["a2"]):
@@ -186,14 +170,9 @@ def parse_config(text: str) -> ExperimentSpec:
         if mode != "no_interference" and 0 in params["a2"]:
             raise ConfigError(f"{mode} mode requires a2 != 0")
 
-    name = params.pop("name", "experiment")
-    params.pop("subcommand")
-    trials = params.pop("trials", 1000)
-    seed = params.pop("seed", 0)
-    out_dir = params.pop("out", ".")
     return ExperimentSpec(
-        name=name, subcommand=sub, params=params,
-        trials=trials, seed=seed, out_dir=out_dir,
+        name=params.pop("name"), subcommand=sub, trials=params.pop("trials"),
+        seed=params.pop("seed"), out_dir=params.pop("out"), params=params,
     )
 
 
@@ -228,7 +207,7 @@ def _codebook_key(params: dict, seed: int) -> _CodebookKey:
         raise ConfigError(f"the shell needs Pprime < P, got Pprime = {Pprime!r} at P = {P!r}")
     c1 = regime.interference_free_capacity(P)
     R = params["R"] if "R" in params else params["R_frac"] * c1
-    rp = params.get("Rprime", "auto")
+    rp = params["Rprime"]
     if rp == "auto":
         # midpoint of the rate chain; independent of a so paired sweeps
         # over a2 share one lattice
@@ -236,8 +215,7 @@ def _codebook_key(params: dict, seed: int) -> _CodebookKey:
         if rp <= R:
             raise ConfigError(f"Rprime = auto needs R < 0.5*log2(1+P) = {c1!r}, "
                               f"got R = {R!r} at P = {P!r}")
-    return _CodebookKey(params["n"], P, Pprime, params.get("p", 5),
-                        R, rp, params.get("shift_trials", 64), seed)
+    return _CodebookKey(params["n"], P, Pprime, params["p"], R, rp, params["shift_trials"], seed)
 
 
 def _build_codebook(key: _CodebookKey):
@@ -251,7 +229,7 @@ def _simulate_point(params: dict, key: _CodebookKey, spec: ExperimentSpec,
                     cb) -> tuple[dict, gaussian_sim.SimulationReport]:
     a = math.sqrt(params["a2"])
     config = gaussian_sim.ChannelConfig(K=params["K"], a=a, seed=spec.seed)
-    mode = params.get("mode", "two_stage")
+    mode = params["mode"]
     report = gaussian_sim.run_monte_carlo(config, cb, spec.trials, mode=mode)
     ci = gaussian_sim._ci_half_width
     row = {
@@ -312,7 +290,9 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _csv_text(columns: list[str], rows: list[dict]) -> str:
+def _csv_text(rows: list[dict]) -> str:
+    """CSV of `rows` under the first row's keys: each row builder states its columns."""
+    columns = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -375,14 +355,14 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     rows = [at_point(idx, point_row, idx) for idx in range(len(points))]
 
     # every output, in write order; all go through _atomic_write below
-    outputs = {base + ".csv": _csv_text(CSV_COLUMNS[spec.subcommand], rows)}
+    outputs = {base + ".csv": _csv_text(rows)}
     summary = {
         "name": spec.name,
         "subcommand": spec.subcommand,
         "seed": spec.seed,
         "trials": spec.trials,
         "grid_size": len(points),
-        "rows": [{k: row[k] for k in CSV_COLUMNS[spec.subcommand]} for row in rows],
+        "rows": rows,
     }
     if spec.subcommand == "simulate":
         summary["reports"] = [r.to_dict() for r in reports]
@@ -390,7 +370,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
         for idx, report in enumerate(reports):
             for r in gaussian_sim.report_csv_rows(report):
                 block_rows.append({"grid_index": idx, **r})
-        outputs[base + "_blocks.csv"] = _csv_text(BLOCK_CSV_COLUMNS, block_rows)
+        outputs[base + "_blocks.csv"] = _csv_text(block_rows)
     outputs[base + ".json"] = json.dumps(summary, sort_keys=True, indent=1) + "\n"
     if spec.subcommand == "lattice":  # no sweep keys: exactly one grid point
         cb = codebooks[keys[0]]
@@ -403,7 +383,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
 
 
 def regime_sweep_rows(K: int, P_min: float, P_max: float, steps: int) -> list[dict]:
-    """Threshold table on a linear P grid (columns fixed by SWEEP_CSV_COLUMNS)."""
+    """Threshold table on a linear P grid, one row per P."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     Ps = np.linspace(P_min, P_max, steps) if steps > 1 else np.array([P_min])
@@ -513,11 +493,12 @@ def _dispatch(args) -> int:
             p_min, p_max, steps = float(args.sweep[0]), float(args.sweep[1]), int(args.sweep[2])
         except ValueError:
             raise ConfigError(f"cannot parse --sweep {' '.join(args.sweep)}") from None
+        if steps < 1:
+            raise ConfigError(f"--sweep STEPS must be >= 1, got {steps!r}")
         rows = regime_sweep_rows(_checked_flag("--K", "K", args.K),
                                  _checked_flag("--sweep P_MIN", "P", p_min),
-                                 _checked_flag("--sweep P_MAX", "P", p_max),
-                                 _checked_flag("--sweep STEPS", "steps", steps))
-        text = _csv_text(SWEEP_CSV_COLUMNS, rows)
+                                 _checked_flag("--sweep P_MAX", "P", p_max), steps)
+        text = _csv_text(rows)
         out = args.out or _env_default("OUT", str, None)
         if out:
             path = os.path.join(out, "regime_sweep.csv")

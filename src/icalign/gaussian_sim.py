@@ -11,7 +11,6 @@ own codeword from the clean residual x_j + z_j.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -162,8 +161,7 @@ class SimulationReport:
     msg_error_rate are properties; confidence half-widths are computed
     where they are written.  `codebook` is the full codebook the run was
     given (not a copy); it supplies n, P, the codebook size and the
-    message count.  wall_clock stays in memory only; the serialized form
-    excludes it so reruns are byte-identical.
+    message count.
     """
 
     config: ChannelConfig
@@ -177,7 +175,6 @@ class SimulationReport:
     eff_noise_stderr: np.ndarray
     alignment_checks: int
     alignment_violations: int
-    wall_clock: float
 
     @property
     def intf_errors(self) -> np.ndarray:
@@ -291,7 +288,6 @@ def run_monte_carlo(
     align_checks = 0
     align_violations = 0
 
-    t0 = time.perf_counter()
     for block in range(block_count):
         for i in range(bounds[block], bounds[block + 1]):
             rng = np.random.default_rng([config.seed, TRIAL_STREAM, i])
@@ -319,7 +315,6 @@ def run_monte_carlo(
                     blk_msg[block, j] += 1
                     if not intf_err:
                         msg_errors_intf_ok[j] += 1
-    wall = time.perf_counter() - t0
 
     mean = eff_sum / trials
     var = np.maximum(eff_sumsq / trials - mean**2, 0.0)
@@ -336,5 +331,4 @@ def run_monte_carlo(
         eff_noise_stderr=stderr,
         alignment_checks=align_checks,
         alignment_violations=align_violations,
-        wall_clock=wall,
     )

@@ -185,18 +185,23 @@ def is_lattice_point(lat: ConstructionALattice, v, scale: float = 1.0) -> bool:
     """True iff v belongs to scale * gamma * Lambda_C.
 
     v / (scale*gamma) must be integral componentwise (within
-    INTEGRALITY_TOL) and its mod-p reduction must be a codeword.  The
-    lattice is symmetric, so a negative scale describes the same point set.
+    INTEGRALITY_TOL), below 2^51 cells as in same_lattice_point, and its
+    mod-p reduction must be a codeword.  A NaN or infinite coordinate is
+    no lattice point.  The lattice is symmetric, so a negative scale
+    describes the same point set.
     """
     if scale == 0:
         raise ValueError("scale must be nonzero")
     v = np.asarray(v, dtype=float)
     if v.shape != (lat.n,):
         raise ValueError(f"vector length {v.shape} != n={lat.n}")
-    w = lattice_coords(lat, v, scale)
-    if (np.abs(v / (abs(scale) * lat.gamma) - w) > INTEGRALITY_TOL).any():
+    r = v / (abs(scale) * lat.gamma)
+    if not np.abs(r).max() < 2.0**51:  # a NaN max compares False
         return False
-    return lat.code.contains(w % lat.p)
+    w = np.rint(r)
+    if np.abs(r - w).max() > INTEGRALITY_TOL:
+        return False
+    return lat.code.contains(w.astype(np.int64) % lat.p)
 
 
 def fundamental_volume(lat: ConstructionALattice) -> float:

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from icalign.cli_harness import (
-    CSV_COLUMNS,
-    SWEEP_CSV_COLUMNS,
     ConfigError,
     grid_points,
     main,
@@ -127,7 +125,7 @@ def test_regime_experiment_matches_classify(tmp_path):
     assert rows[0]["alignment"] == rep.thresholds["alignment"]
     csv_path = [p for p in written if p.endswith(".csv")][0]
     header = open(csv_path).readline().strip()
-    assert header == ",".join(CSV_COLUMNS["regime"])
+    assert header == "K,P,a2,two_user,joint_decode,alignment,capacity,theorem2_rate,label,rate"
 
 
 def test_det_experiment_grid(tmp_path):
@@ -140,7 +138,7 @@ def test_det_experiment_grid(tmp_path):
     assert by_key[(1, 2)] and by_key[(2, 4)] and by_key[(1, 0)]
     assert not by_key[(2, 2)]
     header = open(written[0]).readline().strip()
-    assert header == ",".join(CSV_COLUMNS["det"])
+    assert header == "K,n_d,n_c,ratio,zero_error"
 
 
 def test_simulate_experiment_rerun_byte_identical(tmp_path):
@@ -160,7 +158,8 @@ def test_simulate_csv_and_summary_content(tmp_path):
     rows, written = run_experiment(spec)
     csv_path = [p for p in written if p.endswith("simulate.csv")][0]
     header = open(csv_path).readline().strip()
-    assert header == ",".join(CSV_COLUMNS["simulate"])
+    assert header == ("K,a2,P,Pprime,n,p,R,Rprime,mode,trials,seed,codebook_size,message_count,"
+                      "shortfall,intf_err_rate,msg_err_rate,intf_ci_half_width,msg_ci_half_width")
     blocks = [p for p in written if p.endswith("_blocks.csv")][0]
     assert open(blocks).readline().strip() == (
         "grid_index,trial_block,user,intf_err_rate,msg_err_rate,ci_half_width"
@@ -168,7 +167,6 @@ def test_simulate_csv_and_summary_content(tmp_path):
     summary = json.load(open([p for p in written if p.endswith(".json")][0]))
     assert summary["grid_size"] == 1
     assert summary["reports"][0]["trials"] == 40
-    assert "wall_clock" not in json.dumps(summary)
 
 
 def test_lattice_experiment_writes_codebook(tmp_path):
@@ -179,7 +177,8 @@ def test_lattice_experiment_writes_codebook(tmp_path):
     rows, written = run_experiment(spec)
     assert rows[0]["codebook_size"] >= 1
     main_csv = [p for p in written if p.endswith("lat_lattice.csv")][0]
-    assert open(main_csv).readline().strip() == ",".join(CSV_COLUMNS["lattice"])
+    assert open(main_csv).readline().strip() == \
+        "p,n,k,gamma,volume,R,Rprime,codebook_size,shortfall"
     cb_csv = [p for p in written if "codebook" in p][0]
     assert open(cb_csv).readline().startswith("index,x0")
     lat_txt = [p for p in written if p.endswith("lattice.txt")][0]
@@ -226,7 +225,7 @@ def test_cli_regime_point(capsys):
 def test_cli_regime_sweep_stdout(capsys):
     assert main(["regime", "--sweep", "1", "3", "3", "--K", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == ",".join(SWEEP_CSV_COLUMNS)
+    assert lines[0] == "P,two_user,joint_decode_K,alignment,capacity,theorem2_rate"
     assert len(lines) == 4
 
 
@@ -522,3 +521,47 @@ def test_readme_lists_exactly_the_flags_and_variables_the_cli_reads(tmp_path, mo
     assert main(["det", "--config", str(cfg)]) == 0
     assert main(["regime", "--sweep", "1", "2", "2"]) == 0
     assert set(re.findall(r"ICALIGN_(\w+)", readme)) == set(read)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "sub/dir", "/abs"])
+def test_name_that_is_not_a_plain_file_name_exits_2(tmp_path, capsys, name):
+    # the name prefixes every output file; none may land outside `out`
+    cfg = tmp_path / "det.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(f"subcommand = det\nK = 2\nn_d = 1\nn_c = 0\nname = {name}\nout = {out}\n")
+    assert main(["det", "--config", str(cfg)]) == 2
+    assert f"line 5: name must be a file name with no path separator and not '.' or '..', " \
+        f"got {name!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["det.cfg"]
+
+
+def test_readme_key_table_is_the_key_table():
+    from icalign import cli_harness
+
+    def keys_and_defaults(text):
+        # `key` (default text) pairs; the text runs to the first ';' or ')'
+        return dict(re.findall(r"`(\w+)`(?: \(([^;)]*))?", text))
+
+    def documents(listed, defaults):
+        # a constant default appears as written; a computed one (None) by its rule
+        return all(listed[k] == str(d) if d is not None else listed[k] for k, d in defaults.items())
+
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    start = readme.index("Every subcommand takes")
+    common = keys_and_defaults(readme[start:readme.index("\n\n", start)].split(". ")[0])
+    assert common.keys() == cli_harness._SPEC_DEFAULTS.keys()
+    assert documents(common, cli_harness._SPEC_DEFAULTS)
+
+    rows = re.findall(r"^\| `(\w+)` +\|([^|]*)\|([^|]*)\|([^|]*)\|$", readme[start:], re.M)
+    assert [row[0] for row in rows] == list(cli_harness.SUBCOMMANDS)
+    required = cli_harness.REQUIRED
+    for sub, needed, optional, swept in rows:
+        table = cli_harness.KEYS[sub]
+        needed, optional = re.findall(r"`(\w+)`", needed), keys_and_defaults(optional)
+        assert sorted(needed + list(optional)) == sorted(table), sub
+        assert [k for k in needed if table[k] is required] == \
+            [k for k, d in table.items() if d is required], sub
+        # simulate's "one of `R`/`R_frac`": keys with no default, exactly one given
+        assert all(table[k] is None for k in needed if table[k] is not required), sub
+        assert documents(optional, {k: table[k] for k in optional}), sub
+        assert re.findall(r"`(\w+)`", swept) == list(cli_harness.SWEEP_KEYS[sub]), sub

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icalign.cli_harness import (
-    CSV_COLUMNS,
     SWEEP_KEYS,
     ConfigError,
     grid_points,
@@ -72,8 +71,9 @@ def test_csv_reads_back_equal_to_rows(config):
         rows, written = run_experiment(spec)
         with open(written[0], newline="") as fh:
             table = list(csv.reader(fh))
-    columns = CSV_COLUMNS[spec.subcommand]
+    columns = list(rows[0])
     assert table[0] == columns
+    assert all(list(row) == columns for row in rows)
     assert len(table) == 1 + len(rows)
     for row, cells in zip(rows, table[1:]):
         assert [_read_back(cell, row[c]) for c, cell in zip(columns, cells)] == \

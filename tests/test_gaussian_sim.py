@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import replay_monte_carlo
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import coset_scan_nearest, replay_monte_carlo
 
 from icalign.gaussian_sim import (
     ChannelConfig,
@@ -23,9 +25,16 @@ from icalign.lattice_geometry import (
     find_shift,
     message_codebook,
     nearest_codeword,
+    nearest_lattice_point,
 )
 from icalign.regime import interference_free_capacity
-from icalign.zp_codes import ConstructionALattice, LinearCode, design_lattice, same_lattice_point
+from icalign.zp_codes import (
+    ConstructionALattice,
+    LinearCode,
+    design_lattice,
+    same_lattice_point,
+    sample_code,
+)
 
 
 def tiny_system():
@@ -130,6 +139,31 @@ def test_interference_decode_exhaustive_pairs():
         t = decode_interference_sum(lat, a, cb.shift, K, y)
         expected = a * ((x2 - cb.shift) + (x3 - cb.shift))
         assert np.allclose(t, expected, atol=1e-9)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 6), k=st.integers(0, 3),
+       gamma=st.floats(0.1, 10.0), K=st.sampled_from([2, 3, 6, 12]), a2=st.floats(2.0, 1e8),
+       w_cells=st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6),
+       step=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_interference_decode_is_translation_invariant_at_any_K(p, n, k, gamma, K, a2, w_cells,
+                                                              step, seed):
+    # the K-user claim in exact form: stage 1 on w + a*sum(lambda) + (K-1)*a*s returns
+    # a*sum(lambda) plus the nearest point of a*Lambda to w, whatever K and the lambdas are
+    lat = ConstructionALattice(sample_code(p, n, min(k, n), seed), gamma)
+    a = math.sqrt(a2)
+    rng = np.random.default_rng(seed)
+    msgs = rng.integers(0, p, size=(K - 1, lat.k))
+    lambdas = gamma * ((msgs @ lat.code.G) % p + p * rng.integers(-50, 51, size=(K - 1, n)))
+    s = gamma * rng.uniform(-p, p, size=n)
+    # tie-free w: a step from w0 toward its nearest point lands inside the open Voronoi
+    # cell, at least step * a * gamma / 2 from its boundary
+    w0 = a * gamma * np.array(w_cells[:n])
+    w = w0 + step * (coset_scan_nearest(lat, w0, scale=a) - w0)
+    y = w + a * lambdas.sum(axis=0) + (K - 1) * a * s
+    t_hat = decode_interference_sum(lat, a, s, K, y)
+    want = a * lambdas.sum(axis=0) + nearest_lattice_point(lat, w, scale=a)
+    assert same_lattice_point(lat, t_hat, want, a)
 
 
 def test_interference_errors_rarer_than_message_errors_far_above_threshold():
@@ -448,12 +482,11 @@ def test_report_stores_counts_and_derives_rates():
         config=ChannelConfig(K=2, a=4.0, seed=0), mode="two_stage", trials=20, codebook=cb,
         block_intf_errors=blk_intf, block_msg_errors=blk_msg,
         msg_errors_intf_ok=np.array([0, 2]), eff_noise_mean=np.array([2.5, 2.75]),
-        eff_noise_stderr=np.array([0.1, 0.2]), alignment_checks=40, alignment_violations=0,
-        wall_clock=0.0)
+        eff_noise_stderr=np.array([0.1, 0.2]), alignment_checks=40, alignment_violations=0)
     assert [f.name for f in dataclasses.fields(report)] == [
         "config", "mode", "trials", "codebook", "block_intf_errors", "block_msg_errors",
         "msg_errors_intf_ok", "eff_noise_mean", "eff_noise_stderr", "alignment_checks",
-        "alignment_violations", "wall_clock"]
+        "alignment_violations"]
     assert report.intf_errors.tolist() == [6, 0]
     assert report.msg_errors.tolist() == [2, 2]
     d = report.to_dict()
@@ -478,7 +511,6 @@ def test_report_to_dict_is_json_ready():
     config = ChannelConfig(K=3, a=4.0, seed=2)
     report = run_monte_carlo(config, cb, 50, mode="two_stage")
     text = json.dumps(report.to_dict(), sort_keys=True)
-    assert "wall_clock" not in text
     assert json.loads(text)["trials"] == 50
 
 

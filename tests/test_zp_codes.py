@@ -119,7 +119,18 @@ def test_same_lattice_point_needs_finite_points_below_2_51_cells():
         assert not same_lattice_point(lat, [2.0**52, 0.0], [2.0**52, 0.0])
 
 
-# ------------------------------------------------------- fundamental_volume
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_is_lattice_point_needs_finite_points_below_2_51_cells(p, scale):
+    lat = ConstructionALattice(sample_code(p, 2, 1, 0), 1.0)
+    cells = scale * p * np.array([1.0, 0.0])  # p*e_0 reduces to the zero codeword
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the guard answers before any int64 cast
+        assert not is_lattice_point(lat, [np.nan, np.nan], scale)
+        assert not is_lattice_point(lat, [np.inf, 0.0], scale)
+        assert not is_lattice_point(lat, [-np.inf, np.nan], scale)
+        assert not is_lattice_point(lat, 2.0**52 * cells, scale)
+        assert is_lattice_point(lat, 2.0**48 * cells, scale)
 
 
 def test_volume_examples():
