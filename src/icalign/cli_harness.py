@@ -72,7 +72,7 @@ class ExperimentSpec:
     params: dict
     trials: int
     seed: int
-    out_dir: str
+    out: str
 
 
 def _range_rule(key: str, value) -> str | None:
@@ -87,10 +87,15 @@ def _range_rule(key: str, value) -> str | None:
     return None
 
 
-def _convert(key: str, raw: str, lineno: int):
+def _convert(key: str, raw: str, label: str):
+    """`raw` parsed and range-checked as a value of config key `key`.
+
+    `label` names where it came from (`line 3: K`, `--K` or `ICALIGN_SEED`)
+    and starts every error message.
+    """
     if key == "name" and (raw in ("", ".", "..") or os.path.basename(raw) != raw):
         # the name prefixes every output file, which must stay inside `out`
-        raise ConfigError(f"line {lineno}: name must be a file name with no path separator "
+        raise ConfigError(f"{label} must be a file name with no path separator "
                           f"and not '.' or '..', got {raw!r}")
     try:
         if key in _INT_KEYS:
@@ -100,18 +105,10 @@ def _convert(key: str, raw: str, lineno: int):
         else:
             value = float(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse {key} = {raw!r}") from None
+        raise ConfigError(f"cannot parse {label} = {raw!r}") from None
     rule = _range_rule(key, value)
     if rule:
-        raise ConfigError(f"line {lineno}: {key} {rule}, got {raw!r}")
-    return value
-
-
-def _checked_flag(source: str, key: str, value):
-    """`value`, read from flag or variable `source`, if it keeps `key`'s range rule."""
-    rule = _range_rule(key, value)
-    if rule:
-        raise ConfigError(f"{source} {rule}, got {value!r}")
+        raise ConfigError(f"{label} {rule}, got {raw!r}")
     return value
 
 
@@ -142,15 +139,16 @@ def parse_config(text: str) -> ExperimentSpec:
     for key, (value, lineno) in raw.items():
         if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r} for subcommand {sub!r}")
+        label = f"line {lineno}: {key}"
         if "," in value:
             if key not in sweepable:
                 raise ConfigError(f"line {lineno}: key {key!r} does not accept a list")
             items = [v.strip() for v in value.split(",")]
             if not all(items):
                 raise ConfigError(f"line {lineno}: empty list element in {key!r}")
-            params[key] = [_convert(key, v, lineno) for v in items]
+            params[key] = [_convert(key, v, label) for v in items]
         else:
-            v = _convert(key, value, lineno)
+            v = _convert(key, value, label)
             params[key] = [v] if key in sweepable else v
 
     for key, default in keys.items():
@@ -172,7 +170,7 @@ def parse_config(text: str) -> ExperimentSpec:
 
     return ExperimentSpec(
         name=params.pop("name"), subcommand=sub, trials=params.pop("trials"),
-        seed=params.pop("seed"), out_dir=params.pop("out"), params=params,
+        seed=params.pop("seed"), out=params.pop("out"), params=params,
     )
 
 
@@ -321,7 +319,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     points = grid_points(spec)
     if not points:
         raise ConfigError("empty parameter grid")
-    out = spec.out_dir
+    out = spec.out
     base = os.path.join(out, f"{spec.name}_{spec.subcommand}")
     reports: list = [None] * len(points)
 
@@ -405,49 +403,28 @@ def regime_sweep_rows(K: int, P_min: float, P_max: float, steps: int) -> list[di
 # command line
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse {ENV_PREFIX}{name} = {raw!r}") from None
+# The flags each form of a subcommand reads.  `--config`, else `--sweep`,
+# picks its form, and a subcommand given neither runs its point form.  The
+# parser offers each subcommand the flags of its forms, and a flag the
+# chosen form does not read exits 2 rather than being ignored.
+_CONFIG_FORM = ("config", "out", "seed", "trials")
+FORMS = {
+    "regime": {"config": _CONFIG_FORM, "point": ("K", "P", "a2"), "sweep": ("sweep", "K", "out")},
+    "simulate": {"config": _CONFIG_FORM},
+    "det": {"config": _CONFIG_FORM, "point": ("K", "nd", "nc")},
+    "lattice": {"config": _CONFIG_FORM},
+}
+_FLAG_KEYS = {"nd": "n_d", "nc": "n_c"}  # flags named unlike their config key
+_POINT_NEEDS = {"regime": "regime needs --sweep, --config, or both --P and --a2",
+                "det": "det needs --config or all of --K --nd --nc"}
+_HELP = {"regime": "threshold calculators", "simulate": "Monte Carlo channel simulation",
+         "det": "deterministic bit-level channel",
+         "lattice": "design a lattice codebook, export CSV",
+         "config": "experiment config file", "out": "output directory"}
 
 
-def _add_common_flags(sp):
-    sp.add_argument("--config", help="experiment config file")
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-
-
-def _load_spec(args) -> ExperimentSpec:
-    with open(args.config) as fh:
-        spec = parse_config(fh.read())
-    if spec.subcommand != args.command:
-        raise ConfigError(
-            f"config subcommand {spec.subcommand!r} does not match {args.command!r}"
-        )
-    spec.seed = _flag_or_env(args, "seed", int, spec.seed)
-    spec.trials = _flag_or_env(args, "trials", int, spec.trials)
-    spec.out_dir = _flag_or_env(args, "out", str, spec.out_dir)
-    return spec
-
-
-def _flag_or_env(args, flag: str, cast, fallback):
-    """The --flag value, else ICALIGN_<FLAG> from the environment, else fallback.
-
-    A value from the flag or the environment must keep the range rule of
-    the config key of the same name.
-    """
-    value = getattr(args, flag)
-    if value is not None:
-        return _checked_flag(f"--{flag}", flag, value)
-    value = _env_default(flag.upper(), cast, None)
-    if value is not None:
-        return _checked_flag(ENV_PREFIX + flag.upper(), flag, value)
-    return fallback
+def _env_default(name: str) -> str | None:
+    return os.environ.get(ENV_PREFIX + name)
 
 
 def main(argv=None) -> int:
@@ -456,29 +433,16 @@ def main(argv=None) -> int:
         description="Lattice interference-alignment workbench",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("regime", help="threshold calculators")
-    _add_common_flags(sp)
-    sp.add_argument("--K", type=int, default=3)
-    sp.add_argument("--P", type=float)
-    sp.add_argument("--a2", type=float)
-    sp.add_argument("--sweep", nargs=3, metavar=("P_MIN", "P_MAX", "STEPS"))
-
-    sp = subs.add_parser("simulate", help="Monte Carlo channel simulation")
-    _add_common_flags(sp)
-
-    sp = subs.add_parser("det", help="deterministic bit-level channel")
-    _add_common_flags(sp)
-    sp.add_argument("--K", type=int)
-    sp.add_argument("--nd", type=int)
-    sp.add_argument("--nc", type=int)
-
-    sp = subs.add_parser("lattice", help="design a lattice codebook, export CSV")
-    _add_common_flags(sp)
+    for sub, forms in FORMS.items():
+        # a flag not given is left out of the namespace, so each form sees what was given
+        sp = subs.add_parser(sub, help=_HELP[sub], argument_default=argparse.SUPPRESS)
+        for flag in dict.fromkeys(f for flags in forms.values() for f in flags):
+            sweep = {"nargs": 3, "metavar": ("P_MIN", "P_MAX", "STEPS")} if flag == "sweep" else {}
+            sp.add_argument(f"--{flag}", help=_HELP.get(flag), **sweep)
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(vars(args))
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -487,49 +451,70 @@ def main(argv=None) -> int:
         return 1
 
 
-def _dispatch(args) -> int:
-    if args.command == "regime" and args.sweep:
+def _read_form(command: str, given: dict) -> tuple[str, dict]:
+    """The form `given` flags pick, and each flag it reads, converted as its config key.
+
+    A flag that overrides a spec key (`--out`, `--seed`, `--trials`) falls
+    back to ICALIGN_<FLAG>; regime's flag forms default `--K` to 3.
+    """
+    forms = FORMS[command]
+    form = next((f for f in ("config", "sweep") if f in given), "point")
+    if command == "regime" and form != "config":
+        given.setdefault("K", "3")
+    if form not in forms or (form == "point" and not set(forms[form]) <= set(given)):
+        raise ConfigError(_POINT_NEEDS.get(command, f"{command} requires --config"))
+    ignored = [f"--{f}" for f in given if f not in forms[form]]
+    if ignored:
+        raise ConfigError(f"{command}'s {form} form reads only "
+                          f"{', '.join('--' + f for f in forms[form])}, not {', '.join(ignored)}")
+    values = {}
+    for flag in forms[form]:
+        raw, label = given.get(flag), f"--{flag}"
+        if raw is None and flag in _SPEC_DEFAULTS:
+            raw, label = _env_default(flag.upper()), ENV_PREFIX + flag.upper()
+        if raw is not None:
+            values[flag] = _convert(_FLAG_KEYS.get(flag, flag), raw, label)
+    return form, values
+
+
+def _dispatch(given: dict) -> int:
+    command = given.pop("command")
+    form, v = _read_form(command, given)
+    if form == "sweep":
+        p_min, p_max = (_convert("P", raw, f"--sweep {bound}")
+                        for raw, bound in zip(v["sweep"], ("P_MIN", "P_MAX")))
         try:
-            p_min, p_max, steps = float(args.sweep[0]), float(args.sweep[1]), int(args.sweep[2])
+            steps = int(v["sweep"][2])  # not a config key: its own check
         except ValueError:
-            raise ConfigError(f"cannot parse --sweep {' '.join(args.sweep)}") from None
+            raise ConfigError(f"cannot parse --sweep {' '.join(v['sweep'])}") from None
         if steps < 1:
             raise ConfigError(f"--sweep STEPS must be >= 1, got {steps!r}")
-        rows = regime_sweep_rows(_checked_flag("--K", "K", args.K),
-                                 _checked_flag("--sweep P_MIN", "P", p_min),
-                                 _checked_flag("--sweep P_MAX", "P", p_max), steps)
-        text = _csv_text(rows)
-        out = args.out or _env_default("OUT", str, None)
-        if out:
-            path = os.path.join(out, "regime_sweep.csv")
+        text = _csv_text(regime_sweep_rows(v["K"], p_min, p_max, steps))
+        if v.get("out"):
+            path = os.path.join(v["out"], "regime_sweep.csv")
             _atomic_write(path, text)
             print(path)
         else:
             print(text, end="")
         return 0
 
-    if args.command == "regime" and not args.config:
-        if args.P is None or args.a2 is None:
-            raise ConfigError("regime needs --sweep, --config, or both --P and --a2")
-        report = regime.classify(_checked_flag("--K", "K", args.K),
-                                 _checked_flag("--P", "P", args.P),
-                                 math.sqrt(_checked_flag("--a2", "a2", args.a2)))
-        print(regime.format_report(report))
+    if form == "point" and command == "regime":
+        print(regime.format_report(regime.classify(v["K"], v["P"], math.sqrt(v["a2"]))))
         return 0
 
-    if args.command == "det" and not args.config:
-        if args.K is None or args.nd is None or args.nc is None:
-            raise ConfigError("det needs --config or all of --K --nd --nc")
-        cfg = det_channel.DetChannelConfig(K=_checked_flag("--K", "K", args.K),
-                                           n_d=_checked_flag("--nd", "n_d", args.nd),
-                                           n_c=_checked_flag("--nc", "n_c", args.nc))
+    if form == "point":  # det
+        cfg = det_channel.DetChannelConfig(K=v["K"], n_d=v["nd"], n_c=v["nc"])
+        zero_error = det_channel.det_capacity_check(cfg)  # may refuse before anything prints
         print(det_channel.level_diagram(cfg))
-        print(f"zero-error at full rate: {det_channel.det_capacity_check(cfg)}")
+        print(f"zero-error at full rate: {zero_error}")
         return 0
 
-    if not args.config:
-        raise ConfigError(f"{args.command} requires --config")
-    spec = _load_spec(args)
+    with open(v.pop("config")) as fh:
+        spec = parse_config(fh.read())
+    if spec.subcommand != command:
+        raise ConfigError(f"config subcommand {spec.subcommand!r} does not match {command!r}")
+    for key, value in v.items():  # --out, --seed, --trials or their variables
+        setattr(spec, key, value)
     _, written = run_experiment(spec)
     for path in written:
         print(path)

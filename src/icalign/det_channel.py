@@ -19,6 +19,7 @@ import numpy as np
 from .zp_codes import EnumerationTooLarge, rank_mod_p
 
 EXHAUSTION_CAP_BITS = 24
+RANK_CAP_CELLS = 1 << 16  # q x K*n_d cells of one receiver's level-map matrix
 
 
 class RegimeViolation(ValueError):
@@ -110,13 +111,17 @@ def det_capacity_check(cfg: DetChannelConfig) -> bool:
     rank2(A_j) = n_d + rank2(A_j without receiver j's own n_d columns)
     (no decoder, however clever, can beat that).  When the level bands are
     disjoint, A_j's own-band rows are also checked to read exactly the
-    own bits.  Raises EnumerationTooLarge when K*n_d passes
-    EXHAUSTION_CAP_BITS.
+    own bits.  Raises EnumerationTooLarge, before building any matrix, when
+    K*n_d passes EXHAUSTION_CAP_BITS or the q x K*n_d matrix passes
+    RANK_CAP_CELLS (the rank test's time grows with q).
     """
     total_bits = cfg.K * cfg.n_d
     if total_bits > EXHAUSTION_CAP_BITS:
         raise EnumerationTooLarge(
             f"K*n_d = {total_bits} bits exceeds cap {EXHAUSTION_CAP_BITS}")
+    if cfg.q * total_bits > RANK_CAP_CELLS:
+        raise EnumerationTooLarge(f"level map of q x K*n_d = {cfg.q} x {total_bits} cells "
+                                  f"exceeds cap {RANK_CAP_CELLS}")
     n_d = cfg.n_d
     units = np.eye(total_bits, dtype=np.uint8)
     for j in range(cfg.K):

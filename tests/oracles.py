@@ -16,6 +16,8 @@
   its GF(2) rank test; usable up to about 20 input bits.
 - `replay_monte_carlo`: the error counts of `run_monte_carlo`, replayed
   trial by trial through the public decoders of each mode.
+- `stage1_error_curve`: `run_monte_carlo`'s stage-1 verdicts at every
+  cross gain of a grid, from one draw of each receiver's x_j + z_j.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from icalign.gaussian_sim import (
     lattice_only_decode,
     two_stage_decode,
 )
-from icalign.lattice_geometry import message_codebook, nearest_codeword
+from icalign.lattice_geometry import message_codebook, nearest_codeword, nearest_lattice_point
 from icalign.zp_codes import ConstructionALattice, enumerate_codewords, same_lattice_point
 
 
@@ -214,3 +216,28 @@ def replay_monte_carlo(config, cb, trials: int, mode: str):
             msg[j] += msg_err
             msg_intf_ok[j] += msg_err and not intf_err
     return intf, msg, msg_intf_ok
+
+
+def stage1_error_curve(seed: int, cb, K: int, trials: int, a2_grid) -> np.ndarray:
+    """(grid, trials, K) stage-1 verdicts of run_monte_carlo, True where it errs.
+
+    After the shifts are cancelled receiver j decodes
+    w + a*sum_{k != j} lambda_k, w = x_j + z_j, and exact CVP commutes with
+    a translation by a point of a*Lambda, so stage 1 errs iff the point of
+    a*Lambda nearest to w is not 0.  w does not depend on a: one replay of
+    the draws [seed, 2, i] gives the verdicts at every a^2 of the grid.
+    """
+    mcb = message_codebook(cb)
+    lat = mcb.lattice
+    zero = np.zeros(lat.n)
+    errs = np.zeros((len(a2_grid), trials, K), dtype=bool)
+    for i in range(trials):
+        rng = np.random.default_rng([seed, 2, i])
+        msgs = rng.integers(0, mcb.message_count, size=K)
+        W = mcb.codewords[msgs] + rng.standard_normal((K, lat.n))
+        for g, a2 in enumerate(a2_grid):
+            a = math.sqrt(a2)
+            for j in range(K):
+                errs[g, i, j] = not same_lattice_point(
+                    lat, nearest_lattice_point(lat, W[j], scale=a), zero, a)
+    return errs

@@ -393,7 +393,7 @@ def test_criterion_9_harness_determinism(tmp_path):
         digest = {}
         for f in sorted(os.listdir(out)):
             if f.endswith(".csv"):
-                digest[f] = hashlib.sha256(open(out / f, "rb").read()).hexdigest()
+                digest[f] = hashlib.sha256((out / f).read_bytes()).hexdigest()
         hashes[tag] = digest
     same = hashes["run1"] == hashes["run2"] == hashes["run3"] == hashes["run4"]
     report(9, "harness-determinism", same,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from icalign.cli_harness import (
     run_experiment,
 )
 from icalign.regime import classify
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL_SIM = """
 name = mini
@@ -31,7 +34,12 @@ seed = 7
 
 
 def sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def header(path):
+    with open(path) as fh:
+        return fh.readline().strip()
 
 
 # -------------------------------------------------------------- parse_config
@@ -124,8 +132,8 @@ def test_regime_experiment_matches_classify(tmp_path):
     assert rows[0]["rate"] == rep.rate
     assert rows[0]["alignment"] == rep.thresholds["alignment"]
     csv_path = [p for p in written if p.endswith(".csv")][0]
-    header = open(csv_path).readline().strip()
-    assert header == "K,P,a2,two_user,joint_decode,alignment,capacity,theorem2_rate,label,rate"
+    assert header(csv_path) == \
+        "K,P,a2,two_user,joint_decode,alignment,capacity,theorem2_rate,label,rate"
 
 
 def test_det_experiment_grid(tmp_path):
@@ -137,8 +145,7 @@ def test_det_experiment_grid(tmp_path):
     by_key = {(r["n_d"], r["n_c"]): r["zero_error"] for r in rows}
     assert by_key[(1, 2)] and by_key[(2, 4)] and by_key[(1, 0)]
     assert not by_key[(2, 2)]
-    header = open(written[0]).readline().strip()
-    assert header == "K,n_d,n_c,ratio,zero_error"
+    assert header(written[0]) == "K,n_d,n_c,ratio,zero_error"
 
 
 def test_simulate_experiment_rerun_byte_identical(tmp_path):
@@ -157,14 +164,14 @@ def test_simulate_csv_and_summary_content(tmp_path):
     spec = parse_config(MINIMAL_SIM + f"out = {tmp_path}\n")
     rows, written = run_experiment(spec)
     csv_path = [p for p in written if p.endswith("simulate.csv")][0]
-    header = open(csv_path).readline().strip()
-    assert header == ("K,a2,P,Pprime,n,p,R,Rprime,mode,trials,seed,codebook_size,message_count,"
-                      "shortfall,intf_err_rate,msg_err_rate,intf_ci_half_width,msg_ci_half_width")
+    assert header(csv_path) == (
+        "K,a2,P,Pprime,n,p,R,Rprime,mode,trials,seed,codebook_size,message_count,"
+        "shortfall,intf_err_rate,msg_err_rate,intf_ci_half_width,msg_ci_half_width")
     blocks = [p for p in written if p.endswith("_blocks.csv")][0]
-    assert open(blocks).readline().strip() == (
+    assert header(blocks) == (
         "grid_index,trial_block,user,intf_err_rate,msg_err_rate,ci_half_width"
     )
-    summary = json.load(open([p for p in written if p.endswith(".json")][0]))
+    summary = json.loads(Path([p for p in written if p.endswith(".json")][0]).read_text())
     assert summary["grid_size"] == 1
     assert summary["reports"][0]["trials"] == 40
 
@@ -177,14 +184,14 @@ def test_lattice_experiment_writes_codebook(tmp_path):
     rows, written = run_experiment(spec)
     assert rows[0]["codebook_size"] >= 1
     main_csv = [p for p in written if p.endswith("lat_lattice.csv")][0]
-    assert open(main_csv).readline().strip() == \
+    assert header(main_csv) == \
         "p,n,k,gamma,volume,R,Rprime,codebook_size,shortfall"
     cb_csv = [p for p in written if "codebook" in p][0]
-    assert open(cb_csv).readline().startswith("index,x0")
+    assert header(cb_csv).startswith("index,x0")
     lat_txt = [p for p in written if p.endswith("lattice.txt")][0]
     from icalign.zp_codes import lattice_from_text
 
-    lat = lattice_from_text(open(lat_txt).read())
+    lat = lattice_from_text(Path(lat_txt).read_text())
     assert lat.n == 4 and lat.p == 3
 
 
@@ -242,7 +249,7 @@ def test_cli_simulate_config(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--trials", "20"]) == 0
     out = capsys.readouterr().out
     assert "mini_simulate.csv" in out
-    text = open(tmp_path / "mini_simulate.csv").read()
+    text = (tmp_path / "mini_simulate.csv").read_text()
     assert ",20," in text  # trials override took effect
 
 
@@ -266,7 +273,7 @@ def test_env_overrides(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ICALIGN_OUT", str(outdir))
     monkeypatch.setenv("ICALIGN_TRIALS", "25")
     assert main(["simulate", "--config", str(cfg)]) == 0
-    text = open(outdir / "mini_simulate.csv").read()
+    text = (outdir / "mini_simulate.csv").read_text()
     assert ",25," in text
 
 
@@ -437,7 +444,7 @@ def test_det_flags_out_of_range_exit_2(capsys, argv, message):
     (["-1", "3", "3"], "--sweep P_MIN must be finite and > 0"),
     (["1", "inf", "2"], "--sweep P_MAX must be finite and > 0"),
     (["1", "3", "0"], "--sweep STEPS must be >= 1"),
-    (["1", "x", "3"], "cannot parse --sweep 1 x 3"),
+    (["1", "x", "3"], "cannot parse --sweep P_MAX = 'x'"),
     (["1", "3", "2.5"], "cannot parse --sweep 1 3 2.5"),
 ])
 def test_regime_sweep_out_of_range_exits_2(tmp_path, capsys, sweep, message):
@@ -497,7 +504,7 @@ def test_readme_lists_exactly_the_flags_and_variables_the_cli_reads(tmp_path, mo
                                                                      capsys):
     from icalign import cli_harness
 
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = README.read_text()
     start = readme.index("## Command line")
     cli_section = readme[start:readme.index("\n## ", start)]
 
@@ -546,7 +553,7 @@ def test_readme_key_table_is_the_key_table():
         # a constant default appears as written; a computed one (None) by its rule
         return all(listed[k] == str(d) if d is not None else listed[k] for k, d in defaults.items())
 
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = README.read_text()
     start = readme.index("Every subcommand takes")
     common = keys_and_defaults(readme[start:readme.index("\n\n", start)].split(". ")[0])
     assert common.keys() == cli_harness._SPEC_DEFAULTS.keys()
@@ -565,3 +572,156 @@ def test_readme_key_table_is_the_key_table():
         assert all(table[k] is None for k in needed if table[k] is not required), sub
         assert documents(optional, {k: table[k] for k in optional}), sub
         assert re.findall(r"`(\w+)`", swept) == list(cli_harness.SWEEP_KEYS[sub]), sub
+
+
+# ------------------------------------------------------------ command forms
+
+FORM_CONFIGS = {  # one valid config per subcommand; output lands in the working directory
+    "regime": "subcommand = regime\nK = 3\nP = 1\na2 = 4\n",
+    "simulate": MINIMAL_SIM,
+    "det": "subcommand = det\nK = 3\nn_d = 1\nn_c = 2\n",
+    "lattice": "subcommand = lattice\nn = 4\np = 3\nP = 2\nR = 0.4\n",
+}
+# the arguments that complete each form, and a valid value for every flag
+FORM_ARGV = {"config": ["--config", "c.cfg"], "sweep": ["--sweep", "1", "2", "2"],
+             "point": {"regime": ["--P", "1", "--a2", "4"],
+                       "det": ["--K", "3", "--nd", "1", "--nc", "2"]}}
+FLAG_VALUES = {"config": ["c.cfg"], "out": ["out"], "seed": ["5"], "trials": ["9"],
+               "sweep": ["1", "2", "2"], "K": ["3"], "P": ["1"], "a2": ["4"], "nd": ["1"],
+               "nc": ["2"]}
+
+
+def test_forms_table():
+    from icalign.cli_harness import FORMS
+
+    config = ("config", "out", "seed", "trials")
+    assert FORMS == {
+        "regime": {"config": config, "point": ("K", "P", "a2"), "sweep": ("sweep", "K", "out")},
+        "simulate": {"config": config},
+        "det": {"config": config, "point": ("K", "nd", "nc")},
+        "lattice": {"config": config},
+    }
+
+
+def _form_argv(sub, form):
+    argv = FORM_ARGV[form]
+    return [sub] + (argv[sub] if form == "point" else argv)
+
+
+def _ignored_flag_cases():
+    from icalign.cli_harness import FORMS
+
+    for sub, forms in FORMS.items():
+        offered = dict.fromkeys(f for flags in forms.values() for f in flags)
+        for form, flags in forms.items():
+            for flag in offered:
+                if flag not in flags:
+                    yield pytest.param(sub, form, flag, id=f"{sub}-{form}---{flag}")
+
+
+@pytest.mark.parametrize("sub, form, flag", list(_ignored_flag_cases()))
+def test_flag_the_form_does_not_read_exits_2(tmp_path, monkeypatch, capsys, sub, form, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text(FORM_CONFIGS[sub])
+    assert main(_form_argv(sub, form) + [f"--{flag}", *FLAG_VALUES[flag]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # `--config`, else `--sweep`, picks its own form, which then refuses this form's flags
+    chosen = next(f for f in ("config", "sweep", form) if f in (form, flag))
+    assert f"{sub}'s {chosen} form reads only " in captured.err
+    assert re.search(rf"--{flag}\b", captured.err)
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
+@pytest.mark.parametrize("sub, form", [(sub, form) for sub in FORM_CONFIGS
+                                       for form in ("config", "sweep", "point")
+                                       if form == "config" or (sub, form) in
+                                       {("regime", "sweep"), ("regime", "point"),
+                                        ("det", "point")}])
+def test_each_form_runs_with_its_own_flags(tmp_path, monkeypatch, capsys, sub, form):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text(FORM_CONFIGS[sub])
+    assert main(_form_argv(sub, form)) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, ignored", [
+    (["regime", "--config", "r.cfg", "--K", "9", "--P", "50"], "--K, --P"),
+    (["regime", "--K", "3", "--P", "1", "--a2", "4", "--out", "d", "--seed", "5",
+      "--trials", "9"], "--out, --seed, --trials"),
+    (["det", "--config", "d.cfg", "--nd", "5", "--nc", "7"], "--nd, --nc"),
+    (["regime", "--sweep", "1", "2", "2", "--P", "99", "--a2", "7"], "--P, --a2"),
+    (["det", "--K", "3", "--nd", "1", "--nc", "2", "--out", "d"], "--out"),
+])
+def test_flags_that_used_to_be_ignored_exit_2(tmp_path, monkeypatch, capsys, argv, ignored):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.cfg").write_text(FORM_CONFIGS["regime"])
+    (tmp_path / "d.cfg").write_text(FORM_CONFIGS["det"])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(f"not {ignored}")
+    assert sorted(os.listdir(tmp_path)) == ["d.cfg", "r.cfg"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["regime"], "regime needs --sweep, --config, or both --P and --a2"),
+    (["regime", "--a2", "4"], "regime needs --sweep, --config, or both --P and --a2"),
+    (["regime", "--P", "1", "--out", "d"], "regime needs --sweep, --config, or both --P and --a2"),
+    (["det"], "det needs --config or all of --K --nd --nc"),
+    (["det", "--K", "3", "--nd", "1"], "det needs --config or all of --K --nd --nc"),
+    (["det", "--nc", "2", "--seed", "3"], "det needs --config or all of --K --nd --nc"),
+    (["simulate"], "simulate requires --config"),
+    (["lattice", "--out", "d"], "lattice requires --config"),
+])
+def test_incomplete_form_keeps_its_needs_message(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.listdir(tmp_path)
+
+
+def test_regime_flag_forms_default_k_to_3(capsys):
+    for argv in (["--P", "15", "--a2", "136"], ["--sweep", "1", "3", "3"]):
+        assert main(["regime", *argv]) == 0
+        default = capsys.readouterr().out
+        assert main(["regime", *argv, "--K", "3"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(["regime", *argv, "--K", "5"]) == 0
+        assert capsys.readouterr().out != default
+
+
+def test_variables_apply_only_where_their_flag_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("OUT", "SEED", "TRIALS"):
+        monkeypatch.setenv(f"ICALIGN_{name}", "not a value")
+    assert main(["regime", "--P", "1", "--a2", "4"]) == 0
+    assert main(["det", "--K", "3", "--nd", "1", "--nc", "2"]) == 0
+    monkeypatch.setenv("ICALIGN_OUT", "swept")
+    assert main(["regime", "--sweep", "1", "2", "2"]) == 0  # reads --out, not --seed or --trials
+    assert os.listdir(tmp_path / "swept") == ["regime_sweep.csv"]
+    capsys.readouterr()
+    (tmp_path / "c.cfg").write_text(FORM_CONFIGS["det"])
+    assert main(["det", "--config", "c.cfg"]) == 2
+    assert "cannot parse ICALIGN_SEED = 'not a value'" in capsys.readouterr().err
+
+
+def test_det_point_past_the_rank_cap_prints_nothing_and_exits_1(capsys):
+    assert main(["det", "--K", "3", "--nd", "2", "--nc", str(10**7)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cells exceeds cap" in captured.err
+
+
+def test_readme_forms_table_is_the_forms_table():
+    from icalign.cli_harness import FORMS
+
+    readme = README.read_text()
+    start = readme.index("| subcommand | form |")
+    rows = re.findall(r"^\|([^|]*)\|([^|]*)\|([^|]*)\|$", readme[start:readme.index("\n\n", start)],
+                      re.M)[2:]
+    listed = {}
+    for subs, form, flags in rows:
+        for sub in re.findall(r"`(\w+)`", subs):
+            listed.setdefault(sub, {})[form.strip(" `-")] = tuple(re.findall(r"--(\w+)", flags))
+    assert listed == FORMS

@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from oracles import all_inputs, collision_capacity_check, exhaustive_capacity_check
 
 from icalign.det_channel import (
+    RANK_CAP_CELLS,
     DetChannelConfig,
     RegimeViolation,
     det_capacity_check,
@@ -111,6 +113,18 @@ def test_capacity_check_cap():
     # 25 input bits, one past EXHAUSTION_CAP_BITS = 24
     with pytest.raises(EnumerationTooLarge, match="25 bits exceeds cap 24"):
         det_capacity_check(DetChannelConfig(K=5, n_d=5, n_c=10))
+
+
+def test_capacity_check_bounds_the_ranked_matrix():
+    # the rank test's cost grows with q = max(n_d, n_c): a huge n_c is
+    # refused before any matrix is built, and the largest allowed one runs
+    assert det_capacity_check(DetChannelConfig(K=3, n_d=2, n_c=RANK_CAP_CELLS // 6))
+    t0 = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match="10000000 x 6 cells exceeds cap 65536"):
+        det_capacity_check(DetChannelConfig(K=3, n_d=2, n_c=10**7))
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(EnumerationTooLarge, match="cells exceeds cap"):
+        det_capacity_check(DetChannelConfig(K=3, n_d=2, n_c=RANK_CAP_CELLS // 6 + 1))
 
 
 def test_capacity_iff_ratio_two_or_no_interference():

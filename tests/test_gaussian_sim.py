@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import coset_scan_nearest, replay_monte_carlo
+from oracles import coset_scan_nearest, replay_monte_carlo, stage1_error_curve
 
 from icalign.gaussian_sim import (
     ChannelConfig,
@@ -164,6 +165,72 @@ def test_interference_decode_is_translation_invariant_at_any_K(p, n, k, gamma, K
     t_hat = decode_interference_sum(lat, a, s, K, y)
     want = a * lambdas.sum(axis=0) + nearest_lattice_point(lat, w, scale=a)
     assert same_lattice_point(lat, t_hat, want, a)
+
+
+@functools.lru_cache(maxsize=None)
+def criterion_8_codebook(part: str):
+    """The codebook of acceptance criterion 8(a) or 8(b): P = 1, P' = P/4, p = 5, seeds 0."""
+    n, R, Rp = 8, 0.25, 0.6  # (b)
+    if part == "a":
+        c1 = interference_free_capacity(1.0)
+        n, R, Rp = 12, 0.9 * c1, (0.9 * c1 + c1) / 2
+    shell = ShapingShell(n=n, P=1.0, P_prime=0.25)
+    lat = design_lattice(n, Rp, shell.volume(), p=5, seed=0)
+    return find_shift(lat, shell, R, trials=32, seed=0)[1]
+
+
+@pytest.mark.parametrize("part, seed, trials, a2_grid", [
+    ("b", 77, 300, (2, 3, 4, 6, 8, 12, 16)),
+    ("a", 8001, 150, (2.5, 4, 8, 16)),
+])
+def test_one_draw_gives_the_stage1_curve(part, seed, trials, a2_grid):
+    # stage 1 errs iff the point of a*Lambda nearest to x_j + z_j is not 0, so one
+    # replay of the draws gives run_monte_carlo's stage-1 counts at every a^2, cell
+    # by cell; and as the Voronoi cell is star-shaped about 0, a w that passes at
+    # one a^2 passes at every larger one
+    cb, K = criterion_8_codebook(part), 3
+    errs = stage1_error_curve(seed, cb, K, trials, a2_grid)
+    bounds = block_bounds(trials)
+    for g, a2 in enumerate(a2_grid):
+        report = run_monte_carlo(ChannelConfig(K=K, a=math.sqrt(a2), seed=seed), cb, trials)
+        curve = np.add.reduceat(errs[g], bounds[:-1], axis=0)
+        cells = np.argwhere(curve != report.block_intf_errors)
+        assert not cells.size, [
+            (a2, f"trials {bounds[b]}..{bounds[b + 1] - 1}", f"receiver {j}",
+             np.flatnonzero(errs[g, bounds[b]:bounds[b + 1], j]) + bounds[b]) for b, j in cells]
+    assert not np.argwhere(errs[1:] & ~errs[:-1]).size  # (grid step, trial, receiver)
+
+
+@pytest.mark.parametrize("a2", [4.0, 8.0])
+def test_stage1_error_rate_does_not_grow_with_k(a2):
+    # the alignment threshold (P+1)^2/P does not depend on K, nor does the
+    # stage-1 error rate at finite n: K = 2 and K = 12 lie within 4 standard
+    # errors of K = 3 (receivers' verdicts are independent within a trial)
+    cb, trials = criterion_8_codebook("b"), 600
+
+    def rate(K):
+        report = run_monte_carlo(ChannelConfig(K=K, a=math.sqrt(a2), seed=77), cb, trials)
+        return float(report.intf_error_rate.mean()), trials * K
+
+    r3, n3 = rate(3)
+    for K in (2, 12):
+        r, n = rate(K)
+        se = math.sqrt(r * (1 - r) / n + r3 * (1 - r3) / n3)
+        assert abs(r - r3) <= 4 * se, (K, r, r3, se)
+
+
+@pytest.mark.parametrize("K", [3, 12])
+def test_no_rate_penalty_up_to_a2_1e20(K):
+    # criterion 10 stops at a^2 = 1e8; with stage 1 right, the two_stage receiver
+    # still decides what the no_interference one does at 1e16 and 1e20.  From
+    # about 1e24 the float64 channel output keeps z only to ulp(a*K*|x|) (README)
+    cb, trials = criterion_8_codebook("b"), 300
+    clean = run_monte_carlo(ChannelConfig(K=K, a=0.0, seed=77), cb, trials,
+                            mode="no_interference")
+    for a2 in (1e16, 1e20):
+        report = run_monte_carlo(ChannelConfig(K=K, a=math.sqrt(a2), seed=77), cb, trials)
+        assert not report.intf_errors.any(), a2
+        assert np.array_equal(report.msg_errors, clean.msg_errors), a2
 
 
 def test_interference_errors_rarer_than_message_errors_far_above_threshold():
@@ -524,7 +591,8 @@ def test_readme_quick_start_binds_to_the_library():
 
     import icalign
 
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
     fence = "```python\n"
     start = readme.index(fence, readme.index("## Library quick start")) + len(fence)
     tree = ast.parse(readme[start:readme.index("```", start)])
@@ -558,7 +626,8 @@ def test_readme_lists_exactly_the_exported_names():
 
     import icalign
 
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
     section = readme[readme.index("`icalign` exports these names"):
                      readme.index("Everything is deterministic given the seeds")]
     listed = {name: module

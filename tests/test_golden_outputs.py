@@ -8,6 +8,7 @@ change that does so on purpose regenerates DIGESTS (run this file's
 
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
@@ -126,7 +127,7 @@ DIGESTS = {
 def _digests(name: str, out_dir) -> dict:
     spec = parse_config(f"name = {name}\nout = {out_dir}\n" + CONFIGS[name])
     _, written = run_experiment(spec)
-    return {os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
+    return {os.path.basename(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
             for p in written}
 
 
