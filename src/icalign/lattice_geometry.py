@@ -2,7 +2,8 @@
 
 The decoder scores all p^k codeword cosets of the lattice; within one coset
 the nearest point is componentwise rounding, so each coordinate's p costs are
-tabulated once and the exact global argmin costs one p^k x n gather and sum.
+tabulated once, a coordinate-major gather scores every coset, and the cosets
+near the minimum are re-scored in the coset scan's order to keep it exact.
 Codebooks are the shifted lattice intersected with a spherical shell between
 radii sqrt(nP') and sqrt(nP).
 """
@@ -59,7 +60,7 @@ class ShapingShell:
         return self.n * self.P_prime <= r2 <= self.n * self.P
 
 
-# (lattice, codewords, flat index) of the last lattice whose cosets were tabulated.
+# (lattice, codewords, gather index) of the last lattice whose cosets were tabulated.
 # Holding the lattice keeps its id from being reused by another lattice.  One
 # entry, not a cache on the lattice: callers keep codebooks (and their lattices)
 # alive, and every table they kept would stay in memory with them.
@@ -67,19 +68,43 @@ _coset_memo: tuple = (None, None, None)
 
 
 def _coset_table(lat: ConstructionALattice) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (codewords, flat index) of lat's p^k cosets, built on first use.
+    """Read-only (codewords, gather index) of lat's p^k cosets, built on first use.
 
-    codewords is enumerate_codewords(lat.code); flat[i, j] = j*p + codewords[i, j]
-    indexes coordinate j's cost in an (n, p) table.
+    codewords is enumerate_codewords(lat.code); the gather index is a
+    C-contiguous (n, p^k) intp array, index[j, i] = j*p + codewords[i, j]:
+    coset i's entry for coordinate j in a flattened (n, p) table.
     """
     global _coset_memo
     memo = _coset_memo  # read once: another thread may replace it
     if memo[0] is not lat:
         words = enumerate_codewords(lat.code)
-        flat = words.astype(np.intp) + lat.p * np.arange(lat.n)
-        words.flags.writeable = flat.flags.writeable = False
-        memo = _coset_memo = (lat, words, flat)
+        index = np.ascontiguousarray(words.T + lat.p * np.arange(lat.n)[:, None], np.intp)
+        words.flags.writeable = index.flags.writeable = False
+        memo = _coset_memo = (lat, words, index)
     return memo[1], memo[2]
+
+
+def _lex_argmin(cost: np.ndarray, points: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The gathered row of least cost sum, lexicographically smallest on ties.
+
+    Row i is points[index[:, i]] and costs the sum of cost[index[:, i]], n
+    nonnegative terms.  A fast score sums the rows coordinate by coordinate;
+    the rows it keeps near its minimum are re-scored by the coset scan's
+    contiguous row sum, so minimum, ties and result are the scan's bit for bit.
+    """
+    n = len(index)
+    fast = cost[index].sum(axis=0)  # np.take would copy the read-only index first
+    # Summed in any order, n nonnegative terms are within a factor 1 +- g of
+    # their exact sum, g ~ (n-1)*eps/2.  A row at the scan's minimum thus has
+    # fast <= min(fast) * (1+g)^2/(1-g)^2 ~ min(fast) * (1 + 2*(n-1)*eps), and
+    # 4*n*eps covers that with room for rounding the product.
+    (keep,) = (fast <= fast.min() * (1 + 4 * n * math.ulp(1.0))).nonzero()
+    if keep.size == 1:
+        return points[index[:, keep[0]]]
+    cols = index[:, keep].T
+    exact = np.ascontiguousarray(cost[cols]).sum(axis=1)  # the scan's row sum
+    rows = points[cols[exact == exact.min()]]
+    return rows[0] if len(rows) == 1 else rows[np.lexsort(rows.T[::-1])[0]]
 
 
 def nearest_lattice_point(
@@ -93,10 +118,11 @@ def nearest_lattice_point(
     For each codeword c the per-coset minimizer is
     scale*gamma*(c + p*round((target/(scale*gamma) - c)/p)) componentwise;
     the global argmin over cosets is exact.  Coordinate j depends only on
-    c_j, so each coset's squared distance sums entries of one (n, p) table.
-    Ties break to the lexicographically smallest point.  The cosets come
-    from _coset_table, which enumerates them once per lattice (one lattice
-    at a time) and raises EnumerationTooLarge past ENUMERATION_CAP.
+    c_j, so each coset's squared distance sums entries of one (n, p) table
+    (_lex_argmin).  Ties break to the lexicographically smallest point.  The
+    cosets come from _coset_table, which enumerates them once per lattice
+    (one lattice at a time) and raises EnumerationTooLarge past
+    ENUMERATION_CAP.  A NaN or infinite target raises ValueError.
     `codewords` is ignored: perfbench/cvp_probe.py still passes it, until
     ROADMAP item 1 drops it there.
     """
@@ -105,15 +131,14 @@ def nearest_lattice_point(
     t = np.asarray(target, dtype=float)
     if t.shape != (lat.n,):
         raise ValueError(f"target length {t.shape} != n={lat.n}")
+    if not np.isfinite(t).all():
+        raise ValueError(f"target must be finite, got {t.tolist()}")
     cell = abs(scale) * lat.gamma
     r = np.arange(lat.p)
     # nearest integer with exact halves rounded down, so tied minimizers stay lex-smallest
     cand = cell * (r + lat.p * np.ceil((t[:, None] / cell - r) / lat.p - 0.5))
-    _, flat = _coset_table(lat)
-    d2 = ((cand - t[:, None]) ** 2).ravel()[flat].sum(axis=1)
-    best = np.flatnonzero(d2 == d2.min())
-    rows = cand.ravel()[flat[best]]
-    return rows[0] if best.size == 1 else rows[np.lexsort(rows.T[::-1])[0]]
+    _, index = _coset_table(lat)
+    return _lex_argmin(((cand - t[:, None]) ** 2).ravel(), cand.ravel(), index)
 
 
 def required_size(n: int, R: float) -> int:

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,19 @@ def header(path):
 
 
 # -------------------------------------------------------------- parse_config
+
+
+def test_harness_import_pulls_in_only_numpy():
+    # the benchmark's det-grid setup time is this import in a fresh
+    # interpreter, so a new third-party import shows here first
+    code = ("import sys; before = set(sys.modules); import icalign.cli_harness; "
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - sys.stdlib_module_names)))")
+    src = str(README.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["icalign", "numpy"]
 
 
 def test_parse_minimal_config():

@@ -463,9 +463,27 @@ def test_public_decoders_enumerate_each_lattice_once(monkeypatch):
     assert set(vars(lat)) == set(lat_vars) and set(vars(cb)) - set(cb_vars) <= {"_index_table"}
     assert all(vars(obj)[k] is v for obj, before in ((lat, lat_vars), (cb, cb_vars))
                for k, v in before.items())
-    words, flat = lattice_geometry._coset_table(lat)
-    assert not words.flags.writeable and not flat.flags.writeable
+    words, index = lattice_geometry._coset_table(lat)
+    assert not words.flags.writeable and not index.flags.writeable
+    # coordinate-major: one contiguous row of p^k gather offsets per coordinate
+    assert index.shape == (lat.n, len(words)) and index.flags.c_contiguous
+    assert index.dtype == np.intp and (index == words.T + lat.p * np.arange(lat.n)[:, None]).all()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_target_raises_value_error(bad):
+    # one NaN or infinite coordinate is refused by name, not by an
+    # IndexError from an empty argmin
+    lat, cb = message_system()
+    y = np.zeros(lat.n)
+    y[1] = bad
+    decoders = [lambda: nearest_lattice_point(lat, y, scale=2.0),
+                lambda: two_stage_decode(cb, 2.0, 3, y),
+                lambda: lattice_only_decode(cb, y)]
+    for decode in decoders:
+        with pytest.raises(ValueError, match="target must be finite"):
+            decode()
 
 
 def test_point_to_point_sanity_low_error():

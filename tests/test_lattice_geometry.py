@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import box_scan_codebook, brute_force_nearest, coset_scan_nearest
 
+from icalign import lattice_geometry
 from icalign.lattice_geometry import (
     CODEBOOK_ENUM_CAP,
     ShapingShell,
@@ -209,6 +210,84 @@ def test_cvp_equals_coset_scan_byte_for_byte():
     assert not any(th.is_alive() for th in threads)
     assert len(big) == 2 and want[0] != want[1]
     assert got == [[want[0]] * 5, [want[1]] * 5]
+
+
+def test_rescore_recovers_a_minimum_the_fast_score_misorders():
+    # row a costs 1 and eleven half-ulps, row b 1 + 3 ulps and zeros.  Added
+    # coordinate by coordinate a's half-ulps round away (a = 1 < b); the
+    # scan's contiguous row sum keeps them (a = 1 + 4 ulps > b).  A slack
+    # under 3 ulps would drop b before the re-score.
+    n, eps = 12, math.ulp(1.0)
+    cost = np.array([[1.0, 1 + 3 * eps]] + [[eps / 2, 0.0]] * (n - 1)).ravel()
+    index = 2 * np.arange(n)[:, None] + np.arange(2)
+    points = np.arange(2.0 * n)
+    row_a, row_b = cost[index.T]
+    assert sum(row_a) < sum(row_b) and row_a.sum() > row_b.sum()
+    assert lattice_geometry._lex_argmin(cost, points, index).tolist() == list(range(1, 2 * n, 2))
+
+
+def near_tie_cases():
+    """(lattice, words, scale, targets) whose targets sit a few ulps off a tie.
+
+    Two kinds of target, both equidistant from two lattice points u and
+    u + d in real arithmetic.  One in three is the midpoint u + d/2 for a
+    shortest d, nudged by up to four ulps in one or two coordinates.  The
+    rest are u + d/2 + e for a short d and e orthogonal to d: their squared
+    distances have full mantissas, so summing them in another order can
+    reorder the two points.
+    """
+    rng = np.random.default_rng(2357)
+    systematic = sample_code(5, 12, 5, 23)
+    mix = np.triu(rng.integers(0, 5, size=(5, 5)), 1) + np.eye(5, dtype=np.int64)
+    scrambled = LinearCode(p=5, n=12, k=5, G=(mix @ systematic.G % 5)[:, rng.permutation(12)])
+    lattices = [ConstructionALattice(systematic, 0.83), ConstructionALattice(scrambled, 1.21),
+                ConstructionALattice(LinearCode(p=5, n=5, k=3, G=[[2, 1, 0, 3, 4], [1, 3, 4, 0, 2],
+                                                                [0, 2, 1, 1, 3]]), 0.9)]
+    for lat in lattices:
+        p, n = lat.p, lat.n
+        words = enumerate_codewords(lat.code)
+        reps = (words + p // 2) % p - p // 2  # shortest vector of each coset of p*Z^n
+        short = np.vstack([reps[1:], p * np.eye(n, dtype=np.int64)])
+        norms = (short**2).sum(axis=1)
+        shortest = short[norms == norms.min()]
+        near = short[np.argsort(norms, kind="stable")[:40]]
+        for scale in (1.0, -0.7, -316.0, 1e4, -1e4):  # a^2 up to 1e8
+            cell = abs(scale) * lat.gamma
+            targets = []
+            for i in range(60):
+                u = words[rng.integers(len(words))] + p * rng.integers(-3, 4, size=n)
+                if i % 3 == 0:
+                    d = shortest[rng.integers(len(shortest))] * rng.choice([-1, 1])
+                    t = cell * (u + d / 2)
+                    for j in rng.choice(n, size=rng.integers(1, 3), replace=False):
+                        for _ in range(rng.integers(0, 5)):
+                            t[j] = np.nextafter(t[j], rng.choice([-np.inf, np.inf]))
+                else:
+                    d = near[rng.integers(len(near))]
+                    e = rng.uniform(-0.1, 0.1, size=n)
+                    t = cell * (u + d / 2 + e - d * (e @ d) / (d @ d))
+                targets.append(t)
+            yield lat, words, scale, targets
+
+
+def test_cvp_near_ties_equal_coset_scan_byte_for_byte():
+    kept_two = fast_alone_wrong = 0
+    for lat, words, scale, targets in near_tie_cases():
+        cell = abs(scale) * lat.gamma
+        for t in targets:
+            want = coset_scan_nearest(lat, t, scale, words)
+            assert nearest_lattice_point(lat, t, scale).tobytes() == want.tobytes()
+            # the decoder's fast score sums coordinate by coordinate; count
+            # the cosets it keeps within its slack, and whether its minimum
+            # alone would have picked another point than the scan
+            cand = cell * (words + lat.p * np.ceil((t / cell - words) / lat.p - 0.5))
+            cost = (cand - t) ** 2
+            fast = sum(cost[:, j] for j in range(lat.n))
+            kept_two += np.sum(fast <= fast.min() * (1 + 4 * lat.n * math.ulp(1.0))) >= 2
+            tied = cand[fast == fast.min()]
+            fast_alone_wrong += tied[np.lexsort(tied.T[::-1])[0]].tobytes() != want.tobytes()
+    assert kept_two >= 600  # of 900 targets: the exact re-score runs on most
+    assert fast_alone_wrong >= 3  # and on some it changes the answer (5 here)
 
 
 # ------------------------------------------------------------ build_codebook
