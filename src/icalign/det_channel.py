@@ -18,8 +18,7 @@ import numpy as np
 
 from .zp_codes import EnumerationTooLarge, rank_mod_p
 
-EXHAUSTION_CAP_BITS = 24
-RANK_CAP_CELLS = 1 << 16  # q x K*n_d cells of one receiver's level-map matrix
+RANK_CAP_CELLS = 1 << 21  # K*q*K*n_d cells of the K level maps det_capacity_check ranks
 
 
 class RegimeViolation(ValueError):
@@ -55,15 +54,6 @@ class DetChannelConfig:
         return self.n_c / self.n_d
 
 
-def _validate_inputs(cfg: DetChannelConfig, inputs) -> np.ndarray:
-    arr = np.asarray(inputs, dtype=np.int64)
-    if arr.shape != (cfg.K, cfg.n_d):
-        raise ValueError(f"inputs must be K x n_d = {cfg.K} x {cfg.n_d}, got {arr.shape}")
-    if np.any((arr != 0) & (arr != 1)):
-        raise ValueError("inputs must be 0/1 bits")
-    return arr
-
-
 def _receiver_output(cfg: DetChannelConfig, bits: np.ndarray, j: int) -> np.ndarray:
     """Receiver j's (N, q) output for an (N, K, n_d) bit array, in the bits' dtype."""
     n_d, n_c = cfg.n_d, cfg.n_c
@@ -79,8 +69,12 @@ def _receiver_output(cfg: DetChannelConfig, bits: np.ndarray, j: int) -> np.ndar
 
 def det_output(cfg: DetChannelConfig, inputs) -> np.ndarray:
     """Receiver outputs, K x q bit array; bit index == level index."""
-    x = _validate_inputs(cfg, inputs)[None]
-    return np.vstack([_receiver_output(cfg, x, j) for j in range(cfg.K)])
+    x = np.asarray(inputs, dtype=np.int64)
+    if x.shape != (cfg.K, cfg.n_d):
+        raise ValueError(f"inputs must be K x n_d = {cfg.K} x {cfg.n_d}, got {x.shape}")
+    if np.any((x != 0) & (x != 1)):
+        raise ValueError("inputs must be 0/1 bits")
+    return np.vstack([_receiver_output(cfg, x[None], j) for j in range(cfg.K)])
 
 
 def det_decode(cfg: DetChannelConfig, y_j) -> tuple[np.ndarray, np.ndarray]:
@@ -102,6 +96,12 @@ def det_decode(cfg: DetChannelConfig, y_j) -> tuple[np.ndarray, np.ndarray]:
     return own, y[cfg.n_c - cfg.n_d : cfg.n_c].copy()
 
 
+def _level_map(cfg: DetChannelConfig, j: int) -> np.ndarray:
+    """Receiver j's q x K*n_d GF(2) matrix A_j, y_j = A_j x; column u*n_d + b is X_{u+1}[b]."""
+    units = np.eye(cfg.K * cfg.n_d, dtype=np.uint8).reshape(-1, cfg.K, cfg.n_d)
+    return _receiver_output(cfg, units, j).T
+
+
 def det_capacity_check(cfg: DetChannelConfig) -> bool:
     """True iff every receiver recovers its own n_d bits with zero error.
 
@@ -112,43 +112,35 @@ def det_capacity_check(cfg: DetChannelConfig) -> bool:
     (no decoder, however clever, can beat that).  When the level bands are
     disjoint, A_j's own-band rows are also checked to read exactly the
     own bits.  Raises EnumerationTooLarge, before building any matrix, when
-    K*n_d passes EXHAUSTION_CAP_BITS or the q x K*n_d matrix passes
-    RANK_CAP_CELLS (the rank test's time grows with q).
+    the K matrices of q x K*n_d cells pass RANK_CAP_CELLS: the rank tests'
+    time grows with their product.
     """
     total_bits = cfg.K * cfg.n_d
-    if total_bits > EXHAUSTION_CAP_BITS:
-        raise EnumerationTooLarge(
-            f"K*n_d = {total_bits} bits exceeds cap {EXHAUSTION_CAP_BITS}")
-    if cfg.q * total_bits > RANK_CAP_CELLS:
-        raise EnumerationTooLarge(f"level map of q x K*n_d = {cfg.q} x {total_bits} cells "
-                                  f"exceeds cap {RANK_CAP_CELLS}")
+    if cfg.K * cfg.q * total_bits > RANK_CAP_CELLS:
+        raise EnumerationTooLarge(f"level maps of K x q x K*n_d = {cfg.K} x {cfg.q} x "
+                                  f"{total_bits} cells exceeds cap {RANK_CAP_CELLS}")
     n_d = cfg.n_d
-    units = np.eye(total_bits, dtype=np.uint8)
     for j in range(cfg.K):
-        A = _receiver_output(cfg, units.reshape(-1, cfg.K, n_d), j).T
+        A = _level_map(cfg, j)
         own = slice(j * n_d, (j + 1) * n_d)
         if rank_mod_p(A, 2) != n_d + rank_mod_p(np.delete(A, own, axis=1), 2):
             return False
         # disjoint bands: the direct read-off must be the own bits alone
-        if cfg.very_strong and np.any(A[:n_d] != units[own]):
+        if cfg.very_strong and np.any(A[:n_d] != np.eye(n_d, total_bits, j * n_d, dtype=A.dtype)):
             raise AssertionError("disjoint-band read-off disagrees with ground truth")
     return True
 
 
 def level_diagram(cfg: DetChannelConfig) -> str:
-    """ASCII picture of which bits land on which level, per receiver."""
+    """ASCII picture of which bits land on which level, per receiver (read off _level_map)."""
     lines = [f"K={cfg.K}, n_d={cfg.n_d}, n_c={cfg.n_c}, q={cfg.q}, "
              f"ratio n_c/n_d = {cfg.gdof_ratio:g}, very_strong = {cfg.very_strong}"]
     for j in range(cfg.K):
         lines.append(f"receiver {j + 1}:")
+        A = _level_map(cfg, j)
         for lvl in range(cfg.q - 1, -1, -1):
-            contrib = []
-            if lvl < cfg.n_d:
-                contrib.append(f"X{j + 1}[{lvl}]")
-            if cfg.n_c > 0:
-                b = lvl - (cfg.n_c - cfg.n_d)
-                if 0 <= b < cfg.n_d and lvl < cfg.n_c:
-                    others = [f"X{u + 1}[{b}]" for u in range(cfg.K) if u != j]
-                    contrib.append(" ^ ".join(others))
-            lines.append(f"  level {lvl} | " + (" ^ ".join(contrib) if contrib else "-"))
+            cols = A[lvl].nonzero()[0].tolist()
+            cols.sort(key=lambda c: c // cfg.n_d != j)  # own bit first, then users in order
+            bits = [f"X{c // cfg.n_d + 1}[{c % cfg.n_d}]" for c in cols]
+            lines.append(f"  level {lvl} | " + (" ^ ".join(bits) or "-"))
     return "\n".join(lines)

@@ -83,8 +83,8 @@ def decode_interference_sum(
     (K-1)*a*s before lattice decoding at scale a.  The lattice's coset table
     is built on its first decode and reused while it is the lattice decoded.
     """
-    if a == 0:
-        raise ValueError("a must be nonzero for interference decoding")
+    if a == 0 or not math.isfinite(a):
+        raise ValueError(f"a must be finite and nonzero for interference decoding, got {a}")
     y_t = np.asarray(y, dtype=float) - (K - 1) * a * np.asarray(shift, dtype=float)
     return nearest_lattice_point(lat, y_t, scale=a)
 

@@ -20,6 +20,7 @@ import numpy as np
 from .zp_codes import (
     ConstructionALattice,
     EnumerationTooLarge,
+    _cell,
     enumerate_codewords,
     fundamental_volume,
     lattice_coords,
@@ -122,18 +123,17 @@ def nearest_lattice_point(
     (_lex_argmin).  Ties break to the lexicographically smallest point.  The
     cosets come from _coset_table, which enumerates them once per lattice
     (one lattice at a time) and raises EnumerationTooLarge past
-    ENUMERATION_CAP.  A NaN or infinite target raises ValueError.
+    ENUMERATION_CAP.  A NaN or infinite target, or a zero, NaN or
+    infinite scale, raises ValueError.
     `codewords` is ignored: perfbench/cvp_probe.py still passes it, until
     ROADMAP item 1 drops it there.
     """
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
+    cell = _cell(lat, scale)
     t = np.asarray(target, dtype=float)
     if t.shape != (lat.n,):
         raise ValueError(f"target length {t.shape} != n={lat.n}")
     if not np.isfinite(t).all():
         raise ValueError(f"target must be finite, got {t.tolist()}")
-    cell = abs(scale) * lat.gamma
     r = np.arange(lat.p)
     # nearest integer with exact halves rounded down, so tied minimizers stay lex-smallest
     cand = cell * (r + lat.p * np.ceil((t[:, None] / cell - r) / lat.p - 0.5))

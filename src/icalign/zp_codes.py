@@ -157,13 +157,21 @@ def enumerate_codewords(code: LinearCode) -> np.ndarray:
     return (msgs @ code.G) % code.p
 
 
+def _cell(lat: ConstructionALattice, scale: float) -> float:
+    """|scale|*gamma, the cell side of scale * gamma * Z^n; a zero, NaN or infinite one raises."""
+    cell = abs(scale) * lat.gamma
+    if cell == 0 or not math.isfinite(cell):
+        raise ValueError(f"scale must be finite and nonzero, got {scale}")
+    return cell
+
+
 def lattice_coords(lat: ConstructionALattice, v, scale: float = 1.0) -> np.ndarray:
     """Integer coordinates rint(v / (|scale|*gamma)) of points of scale * gamma * Z^n.
 
     Two points of the lattice are equal iff their coordinates are; exact
     while every coordinate stays below 2^51 cells.
     """
-    return np.rint(np.asarray(v, dtype=float) / (abs(scale) * lat.gamma)).astype(np.int64)
+    return np.rint(np.asarray(v, dtype=float) / _cell(lat, scale)).astype(np.int64)
 
 
 def same_lattice_point(lat: ConstructionALattice, u, v, scale: float = 1.0) -> bool:
@@ -175,7 +183,7 @@ def same_lattice_point(lat: ConstructionALattice, u, v, scale: float = 1.0) -> b
     cast maps every coordinate (and NaN) to one value.
     """
     pts = np.asarray([u, v], dtype=float)
-    if not np.abs(pts).max() < 2.0**51 * abs(scale) * lat.gamma:  # a NaN max compares False
+    if not np.abs(pts).max() < 2.0**51 * _cell(lat, scale):  # a NaN max compares False
         return False
     w = lattice_coords(lat, pts, scale)
     return w[0].tolist() == w[1].tolist()
@@ -190,12 +198,10 @@ def is_lattice_point(lat: ConstructionALattice, v, scale: float = 1.0) -> bool:
     no lattice point.  The lattice is symmetric, so a negative scale
     describes the same point set.
     """
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
     v = np.asarray(v, dtype=float)
     if v.shape != (lat.n,):
         raise ValueError(f"vector length {v.shape} != n={lat.n}")
-    r = v / (abs(scale) * lat.gamma)
+    r = v / _cell(lat, scale)
     if not np.abs(r).max() < 2.0**51:  # a NaN max compares False
         return False
     w = np.rint(r)

@@ -454,3 +454,30 @@ def test_criterion_10_no_rate_penalty_once_stage1_right():
            f"first a^2 with a flipped decision: {first_flip}; msg_errors equal to "
            f"no_interference at a^2 = {equal_msg_errors}; {elapsed:.2f}s")
     assert equal_msg_errors  # some a^2 has no stage-1 error
+
+
+# -------------------------------------------------------------- criterion 11
+
+
+def test_criterion_11_deterministic_condition_to_twelve_users_of_sixteen_bits():
+    # the paper's very strong condition for the deterministic channel, charted
+    # past criterion 3's grid: zero error iff n_c = 0 or n_c >= 2*n_d, with
+    # every receiver ranked, up to K = 12 users of n_d = 16 bits (192 input bits)
+    t0 = time.perf_counter()
+    checked = 0
+    mismatches = []
+    for K in (2, 3, 5, 8, 12):
+        for n_d in (1, 2, 3, 5, 8, 16):
+            for n_c in range(0, 3 * n_d + 1):
+                got = det_capacity_check(DetChannelConfig(K=K, n_d=n_d, n_c=n_c))
+                checked += 1
+                if got != (n_c == 0 or n_c >= 2 * n_d):
+                    mismatches.append((K, n_d, n_c, got))
+    elapsed = time.perf_counter() - t0
+    ok = not mismatches and checked == 555 and elapsed < 2.0
+    report(11, "deterministic-channel-at-size", ok,
+           f"{checked} configs up to K = 12, n_d = 16, n_c = 48 decided by GF(2) rank, "
+           f"{elapsed:.2f}s")
+    assert not mismatches, mismatches
+    assert checked == 555
+    assert elapsed < 2.0

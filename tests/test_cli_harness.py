@@ -216,7 +216,7 @@ def test_experiment_error_names_grid_point(tmp_path):
     spec = parse_config(
         f"subcommand = det\nK = 5\nn_d = 3\nn_c = 6\nout = {tmp_path}\n"
     )
-    spec.params["n_d"] = [30]  # forces the exhaustion cap
+    spec.params["n_c"] = [10**7]  # forces the rank cap
     with pytest.raises(ExperimentError, match="grid point 0"):
         run_experiment(spec)
 
@@ -726,6 +726,44 @@ def test_det_point_past_the_rank_cap_prints_nothing_and_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cells exceeds cap" in captured.err
+
+
+def test_det_point_charts_twelve_users_of_sixteen_bits(capsys):
+    from icalign.det_channel import DetChannelConfig, level_diagram
+
+    assert main(["det", "--K", "12", "--nd", "16", "--nc", "48"]) == 0
+    out = capsys.readouterr().out
+    diagram = level_diagram(DetChannelConfig(K=12, n_d=16, n_c=48))
+    assert out == diagram + "\nzero-error at full rate: True\n"
+    assert "receiver 12:" in diagram and "  level 47 | X2[15] ^ X3[15]" in diagram
+
+
+def test_det_point_past_the_budget_in_users_prints_nothing_and_exits_1(capsys):
+    assert main(["det", "--K", "2048", "--nd", "1", "--nc", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2048 x 2 x 2048 cells exceeds cap 2097152" in captured.err
+
+
+def test_readme_budget_list_names_exactly_the_cap_constants():
+    # every *_CAP* constant of src/icalign is one budget bullet of README,
+    # "- `module.NAME = 2^k` bounds ...", with its value written as 2^k
+    import importlib
+
+    src = README.parent / "src" / "icalign"
+    caps = {}
+    for path in src.glob("*.py"):
+        for name in re.findall(r"^(\w*_CAP\w*) = ", path.read_text(), re.M):
+            caps[f"{path.stem}.{name}"] = getattr(importlib.import_module(f"icalign.{path.stem}"),
+                                                  name)
+    readme = README.read_text()
+    start = readme.index("Each exact enumeration")
+    budgets = readme[start:readme.index("\n\n", readme.index("\n- ", start))]
+    listed = {name: 2 ** int(k) for name, k in
+              re.findall(r"^- `(\w+\.\w+) = 2\^(\d+)`", budgets, re.M)}
+    assert listed == caps
+    # and README names no other cap anywhere
+    assert set(re.findall(r"\b[A-Z][A-Z0-9_]*_CAP\w*", readme)) == {c.split(".")[1] for c in caps}
 
 
 def test_readme_forms_table_is_the_forms_table():

@@ -110,21 +110,28 @@ def test_capacity_check_examples():
 
 
 def test_capacity_check_cap():
-    # 25 input bits, one past EXHAUSTION_CAP_BITS = 24
-    with pytest.raises(EnumerationTooLarge, match="25 bits exceeds cap 24"):
-        det_capacity_check(DetChannelConfig(K=5, n_d=5, n_c=10))
+    # the budget bounds what the check ranks, not the input bits: 25 bits run,
+    # and K = 2048 single-bit users (2048 matrices of 2 x 2048 cells) are
+    # refused before any matrix is built
+    assert det_capacity_check(DetChannelConfig(K=5, n_d=5, n_c=10))
+    t0 = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match="2048 x 2 x 2048 cells exceeds cap 2097152"):
+        det_capacity_check(DetChannelConfig(K=2048, n_d=1, n_c=2))
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_capacity_check_bounds_the_ranked_matrix():
-    # the rank test's cost grows with q = max(n_d, n_c): a huge n_c is
-    # refused before any matrix is built, and the largest allowed one runs
-    assert det_capacity_check(DetChannelConfig(K=3, n_d=2, n_c=RANK_CAP_CELLS // 6))
+    # the rank tests' cost grows with K*q*K*n_d, q = max(n_d, n_c): a huge n_c
+    # is refused before any matrix is built, and the largest allowed one runs
+    assert det_capacity_check(DetChannelConfig(K=3, n_d=2, n_c=RANK_CAP_CELLS // 18))
+    assert det_capacity_check(DetChannelConfig(K=24, n_d=1, n_c=2730))
     t0 = time.perf_counter()
-    with pytest.raises(EnumerationTooLarge, match="10000000 x 6 cells exceeds cap 65536"):
+    with pytest.raises(EnumerationTooLarge,
+                       match="3 x 10000000 x 6 cells exceeds cap 2097152"):
         det_capacity_check(DetChannelConfig(K=3, n_d=2, n_c=10**7))
     assert time.perf_counter() - t0 < 0.1
     with pytest.raises(EnumerationTooLarge, match="cells exceeds cap"):
-        det_capacity_check(DetChannelConfig(K=3, n_d=2, n_c=RANK_CAP_CELLS // 6 + 1))
+        det_capacity_check(DetChannelConfig(K=3, n_d=2, n_c=RANK_CAP_CELLS // 18 + 1))
 
 
 def test_capacity_iff_ratio_two_or_no_interference():
@@ -168,11 +175,82 @@ def test_gdof_cross_module_identity():
             assert (INR >= SNR**2) == cfg.very_strong
 
 
+LEVEL_DIAGRAMS = {
+    (3, 1, 2): """\
+K=3, n_d=1, n_c=2, q=2, ratio n_c/n_d = 2, very_strong = True
+receiver 1:
+  level 1 | X2[0] ^ X3[0]
+  level 0 | X1[0]
+receiver 2:
+  level 1 | X1[0] ^ X3[0]
+  level 0 | X2[0]
+receiver 3:
+  level 1 | X1[0] ^ X2[0]
+  level 0 | X3[0]""",
+    (3, 2, 3): """\
+K=3, n_d=2, n_c=3, q=3, ratio n_c/n_d = 1.5, very_strong = False
+receiver 1:
+  level 2 | X2[1] ^ X3[1]
+  level 1 | X1[1] ^ X2[0] ^ X3[0]
+  level 0 | X1[0]
+receiver 2:
+  level 2 | X1[1] ^ X3[1]
+  level 1 | X2[1] ^ X1[0] ^ X3[0]
+  level 0 | X2[0]
+receiver 3:
+  level 2 | X1[1] ^ X2[1]
+  level 1 | X3[1] ^ X1[0] ^ X2[0]
+  level 0 | X3[0]""",
+    (3, 2, 2): """\
+K=3, n_d=2, n_c=2, q=2, ratio n_c/n_d = 1, very_strong = False
+receiver 1:
+  level 1 | X1[1] ^ X2[1] ^ X3[1]
+  level 0 | X1[0] ^ X2[0] ^ X3[0]
+receiver 2:
+  level 1 | X2[1] ^ X1[1] ^ X3[1]
+  level 0 | X2[0] ^ X1[0] ^ X3[0]
+receiver 3:
+  level 1 | X3[1] ^ X1[1] ^ X2[1]
+  level 0 | X3[0] ^ X1[0] ^ X2[0]""",
+    (2, 3, 1): """\
+K=2, n_d=3, n_c=1, q=3, ratio n_c/n_d = 0.333333, very_strong = False
+receiver 1:
+  level 2 | X1[2]
+  level 1 | X1[1]
+  level 0 | X1[0] ^ X2[2]
+receiver 2:
+  level 2 | X2[2]
+  level 1 | X2[1]
+  level 0 | X2[0] ^ X1[2]""",
+    (2, 2, 0): """\
+K=2, n_d=2, n_c=0, q=2, ratio n_c/n_d = 0, very_strong = True
+receiver 1:
+  level 1 | X1[1]
+  level 0 | X1[0]
+receiver 2:
+  level 1 | X2[1]
+  level 0 | X2[0]""",
+    (2, 1, 4): """\
+K=2, n_d=1, n_c=4, q=4, ratio n_c/n_d = 4, very_strong = True
+receiver 1:
+  level 3 | X2[0]
+  level 2 | -
+  level 1 | -
+  level 0 | X1[0]
+receiver 2:
+  level 3 | X1[0]
+  level 2 | -
+  level 1 | -
+  level 0 | X2[0]""",
+}
+
+
 def test_level_diagram_lists_all_receivers():
-    cfg = DetChannelConfig(K=3, n_d=1, n_c=2)
-    text = level_diagram(cfg)
-    assert "receiver 1" in text and "receiver 3" in text
-    assert "X2[0] ^ X3[0]" in text
+    # the full text, per receiver and level, of disjoint bands, overlapping
+    # bands, n_c == n_d, bits shifted below level 0, n_c = 0, and empty
+    # levels between disjoint bands
+    for shape, text in LEVEL_DIAGRAMS.items():
+        assert level_diagram(DetChannelConfig(*shape)) == text, shape
 
 
 def test_config_validation():

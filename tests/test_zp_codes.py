@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from icalign.gaussian_sim import decode_interference_sum
+from icalign.lattice_geometry import nearest_lattice_point
 from icalign.zp_codes import (
     ENUMERATION_CAP,
     ConstructionALattice,
@@ -13,6 +15,7 @@ from icalign.zp_codes import (
     enumerate_codewords,
     fundamental_volume,
     is_lattice_point,
+    lattice_coords,
     lattice_from_text,
     lattice_to_text,
     rank_mod_p,
@@ -131,6 +134,23 @@ def test_is_lattice_point_needs_finite_points_below_2_51_cells(p, scale):
         assert not is_lattice_point(lat, [-np.inf, np.nan], scale)
         assert not is_lattice_point(lat, 2.0**52 * cells, scale)
         assert is_lattice_point(lat, 2.0**48 * cells, scale)
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, name", [
+    (lambda lat, v, s: lattice_coords(lat, v, s), "scale"),
+    (lambda lat, v, s: same_lattice_point(lat, v, v, s), "scale"),
+    (lambda lat, v, s: is_lattice_point(lat, v, s), "scale"),
+    (lambda lat, v, s: nearest_lattice_point(lat, v, s), "scale"),
+    (lambda lat, v, s: decode_interference_sum(lat, s, v, 3, v), "a"),
+], ids=["lattice_coords", "same_lattice_point", "is_lattice_point", "nearest_lattice_point",
+        "decode_interference_sum"])
+def test_a_zero_nan_or_infinite_scale_raises_naming_it(call, name, scale):
+    lat = repetition_lattice()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any division or int64 cast
+        with pytest.raises(ValueError, match=f"^{name} must be finite and nonzero"):
+            call(lat, np.zeros(2), scale)
 
 
 def test_volume_examples():
